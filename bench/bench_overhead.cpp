@@ -17,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -25,8 +26,12 @@
 #include <vector>
 
 #include "core/executor.hpp"
+#include "core/injector.hpp"
+#include "core/monitor.hpp"
 #include "core/testbed_pool.hpp"
 #include "platform/board_registry.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -290,8 +295,8 @@ BENCHMARK(BM_TickSched_IrqHeavy_EventDriven);
 // scaling regressions show up run over run. The fixture is *between-run
 // overhead*: a minimal observation window keeps each run dominated by
 // exactly the work the executor adds per run — testbed provisioning
-// (pooled checkout/reset vs fresh construction), setup, boot and
-// classification. Window-throughput itself is the BM_TickSched benches'
+// (snapshot restore vs reset + reboot vs fresh construction), setup,
+// boot and classification. Window-throughput itself is the BM_TickSched benches'
 // job; --executor-json reports a window-heavy companion row so the
 // whole-campaign trend stays visible too.
 
@@ -309,38 +314,78 @@ constexpr std::uint64_t kProvisionWindowTicks = 5;
 /// The window-heavy companion shape (the pre-pooling fixture's window).
 constexpr std::uint64_t kWindowHeavyTicks = 500;
 
-/// Provisioning tiers the executor benches compare. Fresh builds a
-/// testbed per run; Pooled checks out a warm slot and resets + reboots
-/// per run; Snapshot restores the slot's post-boot snapshot per run.
+/// Provisioning tiers the executor benches compare. Snapshot is the
+/// executor itself: boot once per slot, restore per run. Fresh and Pooled
+/// are bench-local baselines built from public calls only: Fresh runs
+/// CampaignExecutor::execute_one() per seed (a freshly built testbed per
+/// run); Pooled leases one slot per worker and resets + re-boots it every
+/// run, never restoring.
 enum class ProvisionMode { Fresh, Pooled, Snapshot };
 
-const char* mode_name(ProvisionMode mode) {
-  switch (mode) {
-    case ProvisionMode::Fresh: return "fresh";
-    case ProvisionMode::Pooled: return "pooled";
-    default: return "snapshot";
-  }
+/// One Pooled-tier run: power-on reset, setup and boot on the leased
+/// testbed, then the injected window and classification.
+void run_reset_and_boot(const fi::Scenario& scenario, const fi::TestPlan& plan,
+                        std::uint64_t seed, fi::Testbed& testbed) {
+  testbed.reset();
+  if (!scenario.setup(testbed).is_ok()) return;
+  scenario.boot(testbed);
+  fi::Injector injector(plan, seed, testbed.board().clock());
+  fi::RunMonitor monitor;
+  monitor.begin(testbed);
+  injector.attach(testbed.hypervisor());
+  scenario.observe(testbed, plan);
+  injector.set_armed(false);
+  scenario.epilogue(testbed);
+  benchmark::DoNotOptimize(monitor.finish(testbed));
+  injector.detach(testbed.hypervisor());
 }
 
-fi::ExecutorConfig executor_bench_config(unsigned threads, ProvisionMode mode) {
+/// One campaign of `plan` at `threads` workers, provisioned per `mode`.
+void run_campaign(const fi::TestPlan& plan, unsigned threads, ProvisionMode mode) {
   fi::ExecutorConfig config;
   config.threads = threads;
   config.probe_recovery = false;
-  config.reuse_testbeds = mode != ProvisionMode::Fresh;
-  config.use_snapshots = mode == ProvisionMode::Snapshot;
-  return config;
+  fi::CampaignExecutor executor(plan, config);
+  if (mode == ProvisionMode::Snapshot) {
+    benchmark::DoNotOptimize(executor.execute());
+    return;
+  }
+  std::vector<std::uint64_t> seeds(plan.runs);
+  util::SplitMix64 seeder(plan.seed);
+  for (std::uint64_t& seed : seeds) seed = seeder.next();
+  const fi::Scenario& scenario = *fi::find_scenario(plan.scenario);
+  const auto entry = platform::BoardRegistry::instance().entry(plan.board);
+  std::atomic<std::uint32_t> next{0};
+  util::ThreadPool pool(threads);
+  for (unsigned w = 0; w < pool.size(); ++w) {
+    pool.submit([&] {
+      fi::TestbedLease lease;
+      for (;;) {
+        const std::uint32_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= plan.runs) return;
+        if (mode == ProvisionMode::Fresh) {
+          benchmark::DoNotOptimize(executor.execute_one(seeds[i]));
+          continue;
+        }
+        if (!lease) {
+          lease = fi::TestbedPool::instance().acquire(
+              plan.board, plan.cell_tuning, *entry, "bench-pooled");
+        }
+        run_reset_and_boot(scenario, plan, seeds[i], *lease.get());
+      }
+    });
+  }
+  pool.wait_idle();
 }
 
 void run_executor_campaigns(benchmark::State& state, ProvisionMode mode) {
   const unsigned threads = static_cast<unsigned>(state.range(0));
   fi::TestPlan plan = executor_bench_plan(kProvisionWindowTicks);
-  const fi::ExecutorConfig config = executor_bench_config(threads, mode);
   std::uint64_t campaign_index = 0;
   std::uint64_t runs_done = 0;
   for (auto _ : state) {
     plan.seed = 0xC0FFEE + campaign_index++;
-    fi::CampaignExecutor executor(plan, config);
-    benchmark::DoNotOptimize(executor.execute());
+    run_campaign(plan, threads, mode);
     runs_done += plan.runs;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(runs_done));
@@ -348,7 +393,7 @@ void run_executor_campaigns(benchmark::State& state, ProvisionMode mode) {
       static_cast<double>(runs_done), benchmark::Counter::kIsRate);
 }
 
-/// Snapshot (default) mode: warm slots restored by bulk copy per run.
+/// The executor: warm slots restored by bulk copy per run.
 void BM_ExecutorThroughput(benchmark::State& state) {
   run_executor_campaigns(state, ProvisionMode::Snapshot);
 }
@@ -372,7 +417,8 @@ BENCHMARK(BM_ExecutorThroughput_Pooled)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// Build-per-run baseline the pool is measured against.
+/// execute_one() per run: the build-per-run baseline the pool is
+/// measured against.
 void BM_ExecutorThroughput_Fresh(benchmark::State& state) {
   run_executor_campaigns(state, ProvisionMode::Fresh);
 }
@@ -464,20 +510,18 @@ int run_ticks_json() {
 /// Seconds to execute `campaigns` back-to-back campaigns of the bench
 /// plan (best of `kReps` passes, so a noisy neighbour can only slow a
 /// measurement down, never speed it up). The pool is process-wide, so
-/// pooled campaigns after the first run entirely on warm slots — exactly
-/// the steady state a long sweep lives in.
+/// pooled and snapshot campaigns after the first run entirely on warm
+/// slots — exactly the steady state a long sweep lives in.
 double time_executor(unsigned threads, ProvisionMode mode,
                      std::uint64_t duration, std::uint64_t campaigns) {
   constexpr int kReps = 3;
   fi::TestPlan plan = executor_bench_plan(duration);
-  const fi::ExecutorConfig config = executor_bench_config(threads, mode);
   double best = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
     const auto begin = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < campaigns; ++i) {
       plan.seed = 0xC0FFEE + i;
-      fi::CampaignExecutor executor(plan, config);
-      benchmark::DoNotOptimize(executor.execute());
+      run_campaign(plan, threads, mode);
     }
     const auto end = std::chrono::steady_clock::now();
     const double seconds = std::chrono::duration<double>(end - begin).count();

@@ -8,8 +8,8 @@
 // skipped, and the final comparison report is byte-identical to an
 // uninterrupted run's (the determinism the resume CI step diffs).
 //
-//   $ ./sweep --scenarios freertos-steady,dual-cell --rates 100,50 \
-//             --runs 8 --logdir sweep-logs > report.txt
+//   $ ./sweep --scenarios freertos-steady,dual-cell --rates 100,50
+//             --runs 8 --logdir sweep-logs > report.txt   (one command)
 //   $ ./sweep --spec grid.sweep            # config-text spec file
 //   $ ./sweep --spec -                     # spec from stdin
 //
@@ -59,8 +59,6 @@ void usage(std::ostream& out) {
          "  --tuning TEXT         cell tuning, ';'-separated lines\n"
          "  --logdir DIR          persist per-cell run logs; enables resume\n"
          "  --threads N           executor threads per cell (default: auto)\n"
-         "  --no-snapshots        reset + reboot pooled testbeds per run\n"
-         "                        instead of restoring post-boot snapshots\n"
          "  --no-parallel-resume  rebuild completed cells from their logs\n"
          "                        one by one instead of on a thread pool\n"
          "distributed execution (multi-process cell leasing over --logdir):\n"
@@ -78,7 +76,10 @@ void usage(std::ostream& out) {
          "  --once                with --sweepd: drain the queue and exit\n"
          "  --poll-ms N           sweepd queue poll interval (default 1000)\n"
          "flags override the spec file; the comparison report goes to\n"
-         "stdout, progress to stderr\n";
+         "stdout, progress to stderr. Each worker boots one pooled testbed\n"
+         "per cell shape, then restores its post-boot snapshot per run\n"
+         "(reset + reboot for inject-during-boot cells); the pool counters\n"
+         "are printed to stderr at the end\n";
 }
 
 std::vector<std::string> split_csv(const std::string& text) {
@@ -477,8 +478,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--threads" && (arg = value()) != nullptr) {
       if (!parse_number("threads", arg, number)) return 1;
       config.threads = static_cast<unsigned>(number);
-    } else if (flag == "--no-snapshots") {
-      config.use_snapshots = false;
     } else if (flag == "--no-parallel-resume") {
       config.parallel_resume = false;
     } else if (flag == "--workers" && (arg = value()) != nullptr) {

@@ -133,18 +133,13 @@ class Cpu {
   /// PSCI-style CPU_OFF / cell destruction: any state → Off, state cleared.
   void power_off() noexcept;
 
-  /// Full power-on reset: registers cleared, SVC mode, state Off,
-  /// profiling counters zeroed — a reused core is indistinguishable from
-  /// a freshly constructed one.
-  void reset() noexcept;
-
   [[nodiscard]] const std::string& halt_reason() const noexcept { return halt_reason_; }
   [[nodiscard]] Word entry_point() const noexcept { return entry_point_; }
 
   // --- snapshot / restore (testbed warm-start) --------------------------
-  /// Everything run-mutable on a core. Mirrors reset()'s coverage: a
-  /// restore_from() of a snapshot taken at state S makes the core
-  /// observably identical to when S was captured.
+  /// Everything run-mutable on a core: a restore_from() of a snapshot
+  /// taken at state S makes the core observably identical to when S was
+  /// captured (S = construction gives the power-on core).
   struct Snapshot {
     RegisterBank regs{};
     Cpsr cpsr{};
@@ -157,6 +152,8 @@ class Cpu {
     std::uint64_t trap_entries = 0;
     std::uint64_t hvc_entries = 0;
     std::uint64_t irq_entries = 0;
+
+    bool operator==(const Snapshot&) const = default;
   };
 
   void snapshot_to(Snapshot& out) const {

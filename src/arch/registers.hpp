@@ -44,6 +44,8 @@ struct RegisterBank {
   [[nodiscard]] Word operator[](Reg reg) const noexcept {
     return r[static_cast<std::size_t>(reg)];
   }
+
+  bool operator==(const RegisterBank&) const = default;
 };
 
 inline std::string_view reg_name(Reg reg) noexcept {

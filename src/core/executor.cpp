@@ -59,67 +59,47 @@ CampaignExecutor::CampaignExecutor(TestPlan plan, ExecutorConfig config)
       board_name_ + '\x1f' + plan_.cell_tuning + '\x1f' + pool_extra_key_;
 }
 
-TestbedLease CampaignExecutor::lease_slot(const Scenario* scenario) const {
-  // Don't provision hardware for campaigns whose every run is a
-  // HarnessError anyway (unknown scenario/board, malformed tuning).
-  if (!config_.reuse_testbeds || board_ == nullptr || scenario == nullptr ||
-      !tuning_status_.is_ok()) {
-    return TestbedLease{};
-  }
-  // With snapshots on, slots are keyed by snapshot identity too, so a
-  // parked slot's held snapshot is always valid for the campaign that
-  // checks it out next.
-  return TestbedPool::instance().acquire(
-      board_name_, plan_.cell_tuning, *board_,
-      config_.use_snapshots ? pool_extra_key_ : std::string());
-}
-
-RunResult CampaignExecutor::run_with(const Scenario* scenario,
-                                     std::uint64_t run_seed,
-                                     Testbed* reused) const {
+std::optional<RunResult> CampaignExecutor::campaign_error(
+    const Scenario* scenario) const {
   if (scenario == nullptr) {
     return harness_error("unknown scenario '" + plan_.scenario + "'");
   }
-
   if (!tuning_status_.is_ok()) {
     return harness_error("bad cell tuning: " + tuning_status_.to_string());
   }
-
   if (board_ == nullptr) {
     return harness_error("unknown board '" + board_name_ + "'");
   }
+  return std::nullopt;
+}
 
-  // Each run gets a post-boot (or power-on) testbed, cheapest first:
-  //   1. snapshot restore — the slot holds a post-boot snapshot for this
-  //      campaign shape: bulk-copy it back, skip setup + boot entirely;
-  //   2. pooled reset   — reset the slot to power-on, setup + boot;
-  //   3. fresh build    — private board from the cached registry entry.
-  // Bit-identical in all three modes — the reuse- and snapshot-
-  // equivalence suites pin it. Scenarios that inject during boot can
-  // never restore (the injected boot is the experiment).
-  const bool arm_during_boot = scenario->arm_during_boot(plan_);
-  const bool snapshot_eligible =
-      reused != nullptr && config_.use_snapshots && !arm_during_boot;
-  std::optional<Testbed> fresh;
-  Testbed* testbed = reused;
-  bool restored = false;
-  if (testbed != nullptr) {
-    if (snapshot_eligible && testbed->has_snapshot(snapshot_key_)) {
-      restored = testbed->restore_snapshot();
-    }
-    if (!restored) testbed->reset();
-  } else {
-    fresh.emplace(board_->factory());
-    testbed = &*fresh;
-  }
+TestbedLease CampaignExecutor::lease_slot() const {
+  return TestbedPool::instance().acquire(board_name_, plan_.cell_tuning,
+                                         *board_, pool_extra_key_);
+}
+
+RunResult CampaignExecutor::run_with(const Scenario& scenario,
+                                     std::uint64_t run_seed,
+                                     Testbed& testbed) const {
+  // One provisioning path: restore the slot's post-boot snapshot when it
+  // holds one for this campaign shape, else power-on reset + setup +
+  // boot (+ capture). Bit-identical to execute_one()'s fresh testbed —
+  // the reuse- and snapshot-equivalence suites pin it. Scenarios that
+  // inject during boot can never restore (the injected boot is the
+  // experiment).
+  const bool arm_during_boot = scenario.arm_during_boot(plan_);
+  const bool restored = !arm_during_boot &&
+                        testbed.has_snapshot(snapshot_key_) &&
+                        testbed.restore_snapshot();
   if (!restored) {
     // Restored state already carries policy, tuning and the booted cells
-    // (the snapshot key guarantees they match); only the reset/fresh
-    // paths configure and boot.
-    testbed->set_tick_policy(config_.tick_policy);
-    if (!tuning_.empty()) testbed->set_cell_tuning(tuning_);
+    // (the snapshot key guarantees they match); only the reset path
+    // configures and boots.
+    testbed.reset();
+    testbed.set_tick_policy(config_.tick_policy);
+    if (!tuning_.empty()) testbed.set_cell_tuning(tuning_);
     // An unbootable testbed is a harness bug, not an experiment outcome.
-    const util::Status ready = scenario->setup(*testbed);
+    const util::Status ready = scenario.setup(testbed);
     if (!ready.is_ok()) {
       return harness_error("scenario setup failed: " + ready.to_string());
     }
@@ -128,44 +108,39 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
   // Window this run's guest-access activity: counters are monotonic for
   // the testbed's lifetime, so the (after − before) delta is exact even
   // on reused slots.
-  const Testbed::AccessCounters access_before = testbed->access_counters();
+  const Testbed::AccessCounters access_before = testbed.access_counters();
 
-  Injector injector(plan_, run_seed, testbed->board().clock());
+  Injector injector(plan_, run_seed, testbed.board().clock());
   RunMonitor monitor;
 
   if (arm_during_boot) {
     // §III high-intensity shape: the injector is live while the root
     // shell creates and starts the cell.
-    injector.attach(testbed->hypervisor());
-    scenario->boot(*testbed);
-    monitor.begin(*testbed);
-    scenario->observe(*testbed, plan_);
+    injector.attach(testbed.hypervisor());
+    scenario.boot(testbed);
+    monitor.begin(testbed);
+    scenario.observe(testbed, plan_);
   } else {
     // Figure 3 shape: boot clean, then inject into the steady state.
     if (!restored) {
-      scenario->boot(*testbed);
-      if (snapshot_eligible) {
-        // Boot once, inject many: every later run of this slot restores.
-        testbed->capture_snapshot(snapshot_key_);
-        TestbedPool::instance().record_capture(
-            testbed->snapshot_bytes(),
-            testbed->board().dram().dirty_pages());
-      }
+      scenario.boot(testbed);
+      // Boot once, inject many: every later run of this slot restores.
+      testbed.capture_snapshot(snapshot_key_);
+      TestbedPool::instance().record_capture(
+          testbed.snapshot_bytes(), testbed.board().dram().dirty_pages());
     }
-    monitor.begin(*testbed);
-    injector.attach(testbed->hypervisor());
-    scenario->observe(*testbed, plan_);
+    monitor.begin(testbed);
+    injector.attach(testbed.hypervisor());
+    scenario.observe(testbed, plan_);
   }
-  if (reused != nullptr) {
-    restored ? TestbedPool::instance().record_restore()
-             : TestbedPool::instance().record_reset();
-  }
+  restored ? TestbedPool::instance().record_restore()
+           : TestbedPool::instance().record_reset();
 
   // Observation epilogue: stop injecting, keep watching.
   injector.set_armed(false);
-  scenario->epilogue(*testbed);
+  scenario.epilogue(testbed);
 
-  RunResult result = monitor.finish(*testbed);
+  RunResult result = monitor.finish(testbed);
   result.fault_domain = plan_.fault_domain;
   result.injections = injector.injections();
   result.first_injection_tick = injector.first_injection_tick();
@@ -175,16 +150,19 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
 
   if (config_.probe_recovery && result.outcome != Outcome::Correct &&
       result.outcome != Outcome::HarnessError) {
-    result.shutdown_reclaimed = probe_shutdown_reclaims(*testbed);
+    result.shutdown_reclaimed = probe_shutdown_reclaims(testbed);
   }
 
-  injector.detach(testbed->hypervisor());
-  TestbedPool::instance().record_access(testbed->access_counters(), access_before);
+  injector.detach(testbed.hypervisor());
+  TestbedPool::instance().record_access(testbed.access_counters(), access_before);
   return result;
 }
 
 RunResult CampaignExecutor::execute_one(std::uint64_t run_seed) const {
-  return run_with(find_scenario(plan_.scenario), run_seed, nullptr);
+  const Scenario* scenario = find_scenario(plan_.scenario);
+  if (std::optional<RunResult> error = campaign_error(scenario)) return *error;
+  Testbed fresh(board_->factory());
+  return run_with(*scenario, run_seed, fresh);
 }
 
 CampaignResult CampaignExecutor::execute() {
@@ -199,16 +177,23 @@ CampaignResult CampaignExecutor::execute() {
   for (std::uint64_t& seed : seeds) seed = seeder.next();
 
   const Scenario* scenario = find_scenario(plan_.scenario);
+  if (const std::optional<RunResult> error = campaign_error(scenario)) {
+    for (std::uint32_t i = 0; i < plan_.runs; ++i) {
+      result.runs[i] = *error;
+      if (progress_) progress_(i, result.runs[i]);
+    }
+    return result;
+  }
 
   const unsigned threads =
       config_.threads == 0 ? util::ThreadPool::default_threads() : config_.threads;
   if (threads <= 1 || plan_.runs <= 1) {
     // Serial path: run in the caller's thread, progress in run order. One
     // pooled slot serves every run of the shard.
-    const TestbedLease lease =
-        plan_.runs > 0 ? lease_slot(scenario) : TestbedLease{};
+    if (plan_.runs == 0) return result;
+    const TestbedLease lease = lease_slot();
     for (std::uint32_t i = 0; i < plan_.runs; ++i) {
-      result.runs[i] = run_with(scenario, seeds[i], lease.get());
+      result.runs[i] = run_with(*scenario, seeds[i], *lease.get());
       if (progress_) progress_(i, result.runs[i]);
     }
     return result;
@@ -222,19 +207,15 @@ CampaignResult CampaignExecutor::execute() {
   for (unsigned w = 0; w < pool.size(); ++w) {
     pool.submit([&] {
       // Each worker checks out one long-lived slot for its whole shard;
-      // the steady-state per-run path is reset + run, no locks. The
+      // the steady-state per-run path is restore + run, no locks. The
       // lease is taken lazily on the first claimed run, so a campaign
       // with fewer runs than workers never provisions surplus testbeds.
       TestbedLease lease;
-      bool leased = false;
       for (;;) {
         const std::uint32_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= plan_.runs) return;
-        if (!leased) {
-          lease = lease_slot(scenario);
-          leased = true;
-        }
-        result.runs[i] = run_with(scenario, seeds[i], lease.get());
+        if (!lease) lease = lease_slot();
+        result.runs[i] = run_with(*scenario, seeds[i], *lease.get());
         if (progress_) {
           const std::lock_guard<std::mutex> lock(progress_mutex);
           progress_(i, result.runs[i]);

@@ -8,23 +8,24 @@
 // Injector/RNG), and each result lands in its own pre-sized slot — worker
 // scheduling can reorder *completion*, never *content*.
 //
-// Run lifecycle: by default each worker thread checks one long-lived
-// (board, testbed) slot out of the fi::TestbedPool for its whole shard
-// and, on the slot's first run for this campaign shape, boots it once and
-// captures a post-boot TestbedSnapshot; every later run restores that
-// snapshot by bulk copy instead of resetting + re-booting
-// (boot-once/inject-many). Scenarios that inject *during* boot are
-// snapshot-ineligible and keep reset + boot per run. The board name and
-// registry entry are resolved once at construction, never in the per-run
-// loop. ExecutorConfig::use_snapshots = false falls back to
-// checkout/reset-per-run; reuse_testbeds = false restores build-per-run
-// (fresh construction) — results are bit-identical in all three modes
-// (the reuse- and snapshot-equivalence suites assert it).
+// Run lifecycle: each worker thread checks one long-lived (board,
+// testbed) slot out of the fi::TestbedPool for its whole shard, and every
+// run is provisioned one way. When the slot holds a post-boot snapshot
+// for this campaign shape and the scenario allows it, the run restores
+// that snapshot by bulk copy; otherwise it calls Testbed::reset() (restore
+// the power-on image), runs setup + boot, and captures the post-boot
+// snapshot if the scenario is eligible (boot once, inject many).
+// Scenarios that inject *during* boot are ineligible and reset + boot
+// every run. The board name and registry entry are resolved once at
+// construction, never in the per-run loop. The reference ("oracle") for
+// all of this is execute_one(): the same run on a freshly built testbed.
+// The reuse- and snapshot-equivalence suites pin executor ≡ oracle.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/campaign.hpp"
@@ -48,20 +49,6 @@ struct ExecutorConfig {
   /// Results are bit-identical either way (the tick-equivalence suite
   /// asserts it); PerTick exists for those golden comparisons.
   jh::TickPolicy tick_policy = jh::TickPolicy::EventDriven;
-
-  /// Reuse pooled testbeds across runs (reset-per-run) instead of
-  /// building a fresh board + testbed per run. Bit-identical results
-  /// either way (the reuse-equivalence suite asserts it); false exists
-  /// for those golden comparisons and for the pooled-vs-fresh benchmark.
-  bool reuse_testbeds = true;
-
-  /// Provision runs from a post-boot snapshot (boot once per slot, then
-  /// restore-per-run) when the scenario allows it. Only effective with
-  /// reuse_testbeds; false falls back to reset + boot per run.
-  /// Bit-identical results either way (the snapshot-equivalence suite
-  /// asserts it); false exists for those golden comparisons and for the
-  /// snapshot-vs-pooled benchmark.
-  bool use_snapshots = true;
 
   /// Rebuild completed sweep cells from their persisted logs in parallel
   /// (one zero-copy scan per cell on a util::ThreadPool) instead of one
@@ -90,12 +77,12 @@ class CampaignExecutor {
   void set_progress(ProgressFn fn) { progress_ = std::move(fn); }
 
   /// Execute all runs of the plan. Deterministic in (plan.seed, plan),
-  /// independent of config.threads and config.reuse_testbeds.
+  /// independent of config.threads and of how each run was provisioned.
   [[nodiscard]] CampaignResult execute();
 
-  /// Execute a single run with an explicit seed (replay / tests). Always
-  /// fresh-constructs its testbed: one-off replays shouldn't grow the
-  /// process-wide pool.
+  /// Execute a single run with an explicit seed on a freshly built
+  /// testbed, bypassing the pool (replay, and the reference oracle the
+  /// equivalence suites compare pooled campaigns against).
   [[nodiscard]] RunResult execute_one(std::uint64_t run_seed) const;
 
   [[nodiscard]] const TestPlan& plan() const noexcept { return plan_; }
@@ -108,17 +95,23 @@ class CampaignExecutor {
   }
 
  private:
-  /// One run on `reused` (reset to power-on first) or, when null, on a
-  /// freshly built testbed.
-  [[nodiscard]] RunResult run_with(const Scenario* scenario,
-                                   std::uint64_t run_seed,
-                                   Testbed* reused) const;
+  /// The HarnessError every run of this campaign reports (unknown
+  /// scenario/board, malformed tuning), or nullopt when runs can execute.
+  /// Error campaigns never provision hardware.
+  [[nodiscard]] std::optional<RunResult> campaign_error(
+      const Scenario* scenario) const;
 
-  /// A pool lease for this executor's (board, tuning) key, or an empty
-  /// lease when pooling is off or the campaign can only produce
-  /// HarnessErrors (unknown scenario/board, malformed tuning) — error
-  /// campaigns must not provision hardware.
-  [[nodiscard]] TestbedLease lease_slot(const Scenario* scenario) const;
+  /// One run on `testbed`: restore its post-boot snapshot when it holds
+  /// one for this campaign shape and the scenario allows it, otherwise
+  /// reset() + setup + boot (+ capture when eligible).
+  [[nodiscard]] RunResult run_with(const Scenario& scenario,
+                                   std::uint64_t run_seed,
+                                   Testbed& testbed) const;
+
+  /// A pool lease keyed by (board, tuning, scenario, tick policy), so a
+  /// parked slot's held snapshot matches the next campaign that checks
+  /// it out.
+  [[nodiscard]] TestbedLease lease_slot() const;
 
   TestPlan plan_;
   ExecutorConfig config_;

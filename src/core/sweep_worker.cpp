@@ -1,7 +1,10 @@
 #include "core/sweep_worker.hpp"
 
 #include <errno.h>
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 #ifdef __linux__
 #include <sys/prctl.h>
@@ -34,17 +37,6 @@ std::string lease_body(const std::string& worker_id, long pid,
   return out.str();
 }
 
-/// Seconds since the file's mtime, by the filesystem's own clock — the
-/// only clock all workers on a shared filesystem can agree on. Negative
-/// ages (skewed writer ahead of us) clamp to 0: a lease from the future
-/// is at least as alive as a fresh one.
-double age_of(const fs::path& path, std::error_code& ec) {
-  const fs::file_time_type mtime = fs::last_write_time(path, ec);
-  if (ec) return 0.0;
-  const auto age = std::chrono::file_clock::now() - mtime;
-  return std::max(0.0, std::chrono::duration<double>(age).count());
-}
-
 /// Remove every file a (now definitely dead) worker could have left in
 /// the logdir: its cell leases, claim/steal scratch, and un-renamed
 /// artifact temps. Safe because the caller has waitpid()ed the owner.
@@ -62,10 +54,9 @@ void remove_worker_litter(const std::string& log_dir,
                                            tmp_suffix) == 0;
     const bool scratch = name.find(scratch_mark) != std::string::npos;
     bool dead_lease = false;
-    if (name.size() > 6 &&
-        name.compare(name.size() - 6, 6, ".lease") == 0) {
-      const auto info = CellLease::read(log_dir,
-                                        name.substr(0, name.size() - 6));
+    if (name.ends_with(".lease") || name.ends_with(".lease.steal")) {
+      // A lease it held, or a steal token it died holding.
+      const auto info = CellLease::read_file(it->path().string(), "");
       dead_lease = info && info->worker_id == worker_id && info->pid == pid;
     }
     if (artifact_tmp || scratch || dead_lease) {
@@ -110,17 +101,41 @@ std::string CellLease::lease_path(const std::string& log_dir,
 
 std::optional<LeaseInfo> CellLease::read(const std::string& log_dir,
                                          const std::string& cell_id) {
-  const std::string path = lease_path(log_dir, cell_id);
-  std::error_code ec;
-  const double age = age_of(path, ec);
-  if (ec) return std::nullopt;
-  const auto body = util::read_file(path);
-  if (!body.is_ok()) return std::nullopt;
+  return read_file(lease_path(log_dir, cell_id), cell_id);
+}
+
+std::optional<LeaseInfo> CellLease::read_file(const std::string& path,
+                                              const std::string& cell_id) {
+  // Age and body from one open file, so a lease replaced between a stat
+  // and a read can never yield an old age paired with a new holder. The
+  // age is measured against the file's mtime — the only clock all
+  // workers on a shared filesystem can agree on.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  struct stat st {};
+  std::string body;
+  bool ok = ::fstat(fd, &st) == 0;
+  char buffer[256];
+  for (ssize_t got = 0; ok && (got = ::read(fd, buffer, sizeof buffer)) != 0;) {
+    if (got < 0) {
+      ok = errno == EINTR;
+      continue;
+    }
+    body.append(buffer, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  if (!ok) return std::nullopt;
+  timespec now {};
+  ::clock_gettime(CLOCK_REALTIME, &now);
+  const double age = static_cast<double>(now.tv_sec - st.st_mtim.tv_sec) +
+                     static_cast<double>(now.tv_nsec - st.st_mtim.tv_nsec) * 1e-9;
 
   LeaseInfo info;
   info.cell_id = cell_id;
-  info.age_seconds = age;
-  for (const std::string& raw : util::split(body.value(), '\n')) {
+  // A lease from the future (skewed writer) is at least as alive as a
+  // fresh one.
+  info.age_seconds = std::max(0.0, age);
+  for (const std::string& raw : util::split(body, '\n')) {
     const std::string_view line = util::trim(raw);
     const std::size_t space = line.find(' ');
     if (space == std::string_view::npos) continue;
@@ -144,11 +159,26 @@ util::Expected<CellLease> CellLease::try_claim(const std::string& log_dir,
   const std::string lease = lease_path(log_dir, cell_id);
   const long pid = static_cast<long>(::getpid());
   const std::string unique = "." + worker_id + "." + std::to_string(pid);
-  bool stole = false;
+
+  const std::string token = lease + ".steal";
+  const auto stale = [&](const LeaseInfo& info) {
+    // Strictly younger than the TTL counts alive — so ttl == 0 makes any
+    // existing lease stealable, as the header promises.
+    return info.age_seconds * 1000.0 >= static_cast<double>(ttl.count());
+  };
+  const auto claimed = [&](bool stole) {
+    CellLease lease_held;
+    lease_held.path_ = lease;
+    lease_held.worker_id_ = worker_id;
+    lease_held.pid_ = pid;
+    lease_held.stole_ = stole;
+    return lease_held;
+  };
 
   // A few rounds: each failed claim either finds a live holder (EBusy)
-  // or makes progress (a released/stolen lease vanishes); the bound only
-  // guards against pathological claim/release churn.
+  // or makes progress (a released lease vanishes, an abandoned steal
+  // token is cleared); the bound only guards against pathological
+  // claim/release churn.
   for (int attempt = 0; attempt < 4; ++attempt) {
     const std::string tmp = lease + unique + ".claim";
     {
@@ -162,21 +192,21 @@ util::Expected<CellLease> CellLease::try_claim(const std::string& log_dir,
                             "cannot write lease temp '" + tmp + "'");
       }
     }
+    // Every path below drops the temp name; a successful claim lives on
+    // under the lease name.
+    const auto drop_tmp = [&] {
+      std::error_code ec;
+      fs::remove(tmp, ec);
+    };
     // link(2), not O_CREAT|O_EXCL: atomic on POSIX shared filesystems
     // (historic NFS caveat), and exactly one claimer's link succeeds.
-    const int linked = ::link(tmp.c_str(), lease.c_str());
-    const int link_errno = errno;
-    std::error_code ec;
-    fs::remove(tmp, ec);
-    if (linked == 0) {
-      CellLease claimed;
-      claimed.path_ = lease;
-      claimed.worker_id_ = worker_id;
-      claimed.pid_ = pid;
-      claimed.stole_ = stole;
-      return claimed;
+    if (::link(tmp.c_str(), lease.c_str()) == 0) {
+      drop_tmp();
+      return claimed(false);
     }
+    const int link_errno = errno;
     if (link_errno != EEXIST) {
+      drop_tmp();
       return util::Status(util::Code::EIo,
                           "cannot link lease '" + lease +
                               "': " + std::strerror(link_errno));
@@ -185,23 +215,51 @@ util::Expected<CellLease> CellLease::try_claim(const std::string& log_dir,
     // Someone holds it. Alive (heartbeat within the TTL) → busy; a
     // vanished lease (released between our link and read) → retry.
     const std::optional<LeaseInfo> holder = read(log_dir, cell_id);
-    if (!holder) continue;
-    // Strictly younger than the TTL counts alive — so ttl == 0 makes any
-    // existing lease stealable, as the header promises.
-    if (holder->age_seconds * 1000.0 < static_cast<double>(ttl.count())) {
+    if (!holder) {
+      drop_tmp();
+      continue;
+    }
+    if (!stale(*holder)) {
+      drop_tmp();
       return util::busy("cell '" + cell_id + "' leased by worker '" +
                         holder->worker_id + "'");
     }
 
-    // Stale: steal by renaming to a claimant-unique name. rename(2) is
-    // atomic, so of N concurrent stealers exactly one wins; the losers
-    // just find the lease gone and retry the normal claim path.
-    const std::string stolen = lease + unique + ".stale";
-    fs::rename(lease, stolen, ec);
-    if (!ec) {
-      stole = true;
-      fs::remove(stolen, ec);
+    // Stale: steal it. Stealers first take an exclusive steal token —
+    // link(2) of their claim file to <cell>.lease.steal, the claim's own
+    // primitive — so at most one acts on the lease at a time. The token
+    // holder re-reads the lease and, only if it is still the very lease
+    // judged stale (same holder and heartbeat, still past the TTL),
+    // replaces it with its claim by rename(2). The replace is atomic and
+    // the lease name never goes missing, so no concurrent claimer can
+    // link a second lease in. A slow stealer that takes the token after
+    // a faster one finished finds the fresh lease and backs off. A token
+    // older than the TTL was left by a stealer that died mid-steal; it is
+    // cleared and the claim retried.
+    if (::link(tmp.c_str(), token.c_str()) != 0) {
+      const std::optional<LeaseInfo> other = read_file(token, cell_id);
+      drop_tmp();
+      if (other && stale(*other)) {
+        std::error_code ec;
+        fs::remove(token, ec);
+        continue;
+      }
+      return util::busy("cell '" + cell_id + "' being stolen by worker '" +
+                        (other ? other->worker_id : holder->worker_id) + "'");
     }
+    const std::optional<LeaseInfo> current = read(log_dir, cell_id);
+    const bool still_stale = current && current->worker_id == holder->worker_id &&
+                             current->pid == holder->pid &&
+                             current->heartbeats == holder->heartbeats &&
+                             stale(*current);
+    std::error_code replaced;
+    if (still_stale) fs::rename(tmp, lease, replaced);
+    drop_tmp();
+    std::error_code ec;
+    fs::remove(token, ec);
+    if (still_stale && !replaced) return claimed(true);
+    return util::busy("cell '" + cell_id + "' leased by worker '" +
+                      (current ? current->worker_id : holder->worker_id) + "'");
   }
   return util::busy("cell '" + cell_id + "' lease contended");
 }
@@ -301,7 +359,8 @@ SweepWorker::SweepWorker(SweepSpec spec, ExecutorConfig executor,
                          SweepWorkerConfig worker)
     : spec_(std::move(spec)), executor_(executor), worker_(std::move(worker)) {
   if (worker_.worker_id.empty()) {
-    worker_.worker_id = "w" + std::to_string(static_cast<long>(::getpid()));
+    worker_.worker_id = std::string(1, 'w').append(
+        std::to_string(static_cast<long>(::getpid())));
   }
 }
 

@@ -25,9 +25,13 @@
 //   heartbeat      periodically rewrite the lease (atomic replace),
 //                  bumping its mtime + heartbeat counter
 //   stale          lease mtime older than the TTL → holder presumed dead
-//   steal          rename(2) the stale lease to a claimant-unique name —
-//                  atomic, so exactly one stealer wins — unlink it, then
-//                  claim normally
+//   steal          take the exclusive steal token <cell>.lease.steal (link,
+//                  like a claim), re-read the lease, and only if it is
+//                  still the one judged stale replace it with the
+//                  stealer's claim by rename(2) — atomic, the lease name
+//                  never goes missing, so exactly one stealer wins; then
+//                  drop the token (a token older than the TTL was left by
+//                  a dead stealer and is cleared)
 //   release        unlink
 //
 // Crash tolerance: a worker killed mid-cell leaves a lease that stops
@@ -95,8 +99,8 @@ class CellLease {
 
   /// Claim `<log_dir>/<cell_id>.lease` for `worker_id`. EBusy when a
   /// live (heartbeat younger than `ttl`) holder has it; a stale lease is
-  /// stolen via a unique rename first, so concurrent reclaimers of a
-  /// dead worker's cell resolve to exactly one winner. EIo on
+  /// stolen under the exclusive steal token, so concurrent reclaimers of
+  /// a dead worker's cell resolve to exactly one winner. EIo on
   /// filesystem errors.
   [[nodiscard]] static util::Expected<CellLease> try_claim(
       const std::string& log_dir, const std::string& cell_id,
@@ -109,6 +113,11 @@ class CellLease {
   /// mid-read — claims and releases race benignly with readers).
   [[nodiscard]] static std::optional<LeaseInfo> read(
       const std::string& log_dir, const std::string& cell_id);
+
+  /// Decode the lease-format file at `path` (a lease or a steal token),
+  /// nullopt when absent.
+  [[nodiscard]] static std::optional<LeaseInfo> read_file(
+      const std::string& path, const std::string& cell_id);
 
  private:
   std::string path_;

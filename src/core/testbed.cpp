@@ -11,45 +11,41 @@ Testbed::Testbed(std::unique_ptr<platform::Board> board)
     : board_(board != nullptr ? std::move(board)
                               : std::make_unique<platform::BananaPiBoard>()),
       hv_(*board_),
-      machine_(*board_, hv_) {}
+      machine_(*board_, hv_) {
+  // Nothing has touched DRAM yet, so the image holds no pages and its
+  // arena mark is the arena base.
+  capture_to(power_on_);
+}
 
 void Testbed::reset() {
-  machine_.reset();
-  hv_.reset();
-  board_->reset();
-  linux_.reset();
-  freertos_.reset();
-  osek_.reset();
-  cell_id_ = 0;
-  secondary_cell_id_ = 0;
-  enabled_ = false;
-  ivshmem_ = false;
-  tuning_ = jh::CellTuning{};
-  ivshmem_stats_ = IvshmemTrafficStats{};
-  // A full arena reset reclaims the snapshot's page payloads too — any
-  // held snapshot is gone.
-  run_arena_.reset();
+  // Rewinding to the base mark reclaims the post-boot snapshot's page
+  // payloads too — any held snapshot is gone.
+  restore(power_on_);
   snapshot_valid_ = false;
+}
+
+void Testbed::capture_to(TestbedSnapshot& out) {
+  board_->snapshot_to(out.board, run_arena_);
+  hv_.snapshot_to(out.hv);
+  machine_.snapshot_to(out.machine);
+  linux_.snapshot_to(out.linux_root);
+  freertos_.snapshot_to(out.freertos);
+  osek_.snapshot_to(out.osek);
+  out.cell_id = cell_id_;
+  out.secondary_cell_id = secondary_cell_id_;
+  out.enabled = enabled_;
+  out.ivshmem = ivshmem_;
+  out.tuning = tuning_;
+  out.ivshmem_stats = ivshmem_stats_;
+  out.arena_mark = run_arena_.mark();
+  out.bytes = out.board.dram.bytes();
 }
 
 void Testbed::capture_snapshot(const std::string& key) {
   // The snapshot owns the arena base: drop previous snapshot + scratch.
   run_arena_.reset();
-  board_->snapshot_to(snapshot_.board, run_arena_);
-  hv_.snapshot_to(snapshot_.hv);
-  machine_.snapshot_to(snapshot_.machine);
-  linux_.snapshot_to(snapshot_.linux_root);
-  freertos_.snapshot_to(snapshot_.freertos);
-  osek_.snapshot_to(snapshot_.osek);
-  snapshot_.cell_id = cell_id_;
-  snapshot_.secondary_cell_id = secondary_cell_id_;
-  snapshot_.enabled = enabled_;
-  snapshot_.ivshmem = ivshmem_;
-  snapshot_.tuning = tuning_;
-  snapshot_.ivshmem_stats = ivshmem_stats_;
-  snapshot_.arena_mark = run_arena_.mark();
+  capture_to(snapshot_);
   snapshot_.key = key;
-  snapshot_.bytes = snapshot_.board.dram.bytes();
   snapshot_valid_ = true;
 }
 

@@ -49,15 +49,21 @@ struct IvshmemTrafficStats {
   [[nodiscard]] bool traffic_disrupted() const noexcept {
     return corrupted + protocol_errors + lost_doorbells + send_failures > 0;
   }
+
+  bool operator==(const IvshmemTrafficStats&) const = default;
 };
 
-/// Everything a run can mutate, captured once after a slot's first boot
-/// for a given (scenario, board, tuning, tick-policy) identity key and
-/// bulk-copied back by Testbed::restore_snapshot() instead of a full
-/// reset() + re-boot. Page payloads live in the testbed's run arena
-/// *below* `arena_mark`; per-run scratch is placed above the mark, and
-/// restore rewinds to it — so the snapshot survives any number of runs
-/// while run-scoped allocations are reclaimed.
+/// Everything a run can mutate — the single statement of testbed state.
+/// A testbed holds two images of it: the power-on image, captured once at
+/// construction and restored by Testbed::reset(), and an optional
+/// post-boot image, captured after a slot's first boot for a given
+/// (scenario, board, tuning, tick-policy) identity key and restored by
+/// Testbed::restore_snapshot() instead of reset() + re-boot. Page
+/// payloads live in the testbed's run arena *below* `arena_mark`; per-run
+/// scratch is placed above the mark, and restore rewinds to it — so the
+/// snapshot survives any number of runs while run-scoped allocations are
+/// reclaimed. The power-on image holds no pages: its mark is the arena
+/// base, and restoring it zeroes the dirty DRAM superset.
 struct TestbedSnapshot {
   platform::Board::Snapshot board;
   jh::Hypervisor::Snapshot hv;
@@ -77,6 +83,8 @@ struct TestbedSnapshot {
   util::Arena::Mark arena_mark{};  ///< run-arena fill level owned by the snapshot
   std::string key;                 ///< identity: scenario\x1fboard\x1ftuning\x1fpolicy
   std::size_t bytes = 0;           ///< captured DRAM payload bytes (dirty pages)
+
+  bool operator==(const TestbedSnapshot&) const = default;
 };
 
 class Testbed {
@@ -91,16 +99,14 @@ class Testbed {
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
 
-  /// Power-on restore of the whole testbed without tearing it down: the
-  /// board (clock, CPUs, devices, DRAM contents, event log), the
-  /// hypervisor (cells, configs, counters, hook), the machine (bindings,
-  /// start flags, watchdog, tick policy), all three guest images, and the
-  /// testbed's own cell/tuning/ivshmem bookkeeping. After reset() the
-  /// testbed behaves bit-identically to a freshly constructed one on the
-  /// same board variant — the contract that lets fi::TestbedPool reuse a
-  /// (board, testbed) slot across campaign runs. Nothing is heap-
-  /// allocated on this path (asserted by the pool's zero-allocation
-  /// test); run-scoped arena storage is rewound, not freed.
+  /// Power-on restore without tearing the testbed down: restore the
+  /// power-on image captured at construction, then drop any held
+  /// post-boot snapshot. After reset() the testbed behaves bit-identically
+  /// to a freshly constructed one on the same board variant — the
+  /// contract that lets fi::TestbedPool reuse a (board, testbed) slot
+  /// across campaigns. Nothing is heap-allocated on this path in steady
+  /// state (asserted by the pool's zero-allocation test); run-scoped
+  /// arena storage is rewound, not freed.
   void reset();
 
   /// Run-scoped scratch arena: rewound by reset(), so anything placed
@@ -111,7 +117,7 @@ class Testbed {
   /// restore_snapshot() rewinds only the scratch above them.
   [[nodiscard]] util::Arena& run_arena() noexcept { return run_arena_; }
 
-  // --- snapshot warm-start ------------------------------------------------
+  // --- post-boot snapshot --------------------------------------------------
   /// Capture the whole post-boot testbed state under `key`. Rewinds the
   /// run arena first (the snapshot owns its base), so call only at a
   /// run boundary — right after a scenario's setup + boot. Replaces any
@@ -286,8 +292,15 @@ class Testbed {
   /// Per-run analysis scratch; 4 KiB covers the golden-profile buffers.
   /// Snapshot page payloads are placed at the base and survive rewinds.
   util::Arena run_arena_{4 * 1024};
+  /// Captured at construction (after every member above), restored by
+  /// reset().
+  TestbedSnapshot power_on_;
   TestbedSnapshot snapshot_;
   bool snapshot_valid_ = false;
+
+  /// Fill `out` with the current state; the caller owns the arena and
+  /// the key.
+  void capture_to(TestbedSnapshot& out);
 };
 
 }  // namespace mcs::fi

@@ -2,18 +2,21 @@
 // runs.
 //
 // The paper's outer loop provisions a fresh target per experiment; real
-// fault-injection tooling amortises that by *resetting* the target
+// fault-injection tooling amortises that by *re-imaging* the target
 // instead of re-provisioning it. The pool is that amortisation for the
-// campaign executor: each worker thread checks one slot out per
-// (board_name, tuning) key for the duration of its shard and calls
-// Testbed::reset() between runs — power-on state, bit-identical results
-// (the reuse-equivalence suite pins pooled == fresh on every scenario ×
-// board × thread count), zero steady-state heap allocations (asserted
-// via util::AllocationObserver).
+// campaign executor: each worker thread checks one slot out for the
+// duration of its shard, and every run starts from one of the slot's two
+// state images — its post-boot snapshot when it holds one for the
+// campaign shape, else the power-on image via Testbed::reset(). Results
+// are bit-identical to a freshly built testbed's (the reuse- and
+// snapshot-equivalence suites pin pooled == CampaignExecutor::execute_one
+// on every scenario × board × thread count), with zero steady-state heap
+// allocations (asserted via util::AllocationObserver).
 //
-// Slots are keyed by (board_name, tuning text) even though reset()
-// restores power-on state regardless of the previous occupant — the key
-// keeps a slot's arena warm for one shape of campaign instead of
+// Slots are keyed by (board_name, tuning text, extra key); the executor
+// passes the scenario and tick policy as the extra key, so a parked
+// slot's held post-boot snapshot matches the next campaign that checks
+// it out, and its arena stays warm for one shape of campaign instead of
 // ping-ponging page working sets between differently tuned cells.
 //
 // Memory: idle slots are capped at kMaxIdlePerKey per key (releases
@@ -25,7 +28,7 @@
 //
 // Thread-safety: acquire/release take one mutex each; a checked-out slot
 // is owned exclusively by its lease, so the steady-state per-run path
-// (reset + run) is lock-free. Leases from many executors may share the
+// (restore + run) is lock-free. Leases from many executors may share the
 // process-wide pool concurrently.
 #pragma once
 
@@ -46,7 +49,7 @@ class TestbedPool;
 
 /// Exclusive ownership of one pooled testbed; returns the slot to the
 /// pool on destruction. Default-constructed leases are empty (get() ==
-/// nullptr) — the executor's fresh-construction mode.
+/// nullptr).
 class TestbedLease {
  public:
   TestbedLease() = default;
@@ -91,12 +94,12 @@ class TestbedPool {
   /// Check a slot out for `(board_name, tuning_text)`: an idle slot when
   /// one exists, else a fresh testbed built from `entry`'s factory. The
   /// caller owns the slot until the lease dies. The testbed is handed out
-  /// as-is (possibly dirty); the per-run Testbed::reset() in the executor
-  /// restores power-on state before every run, first run included.
+  /// as-is (possibly dirty); the executor restores a post-boot snapshot
+  /// or calls Testbed::reset() before every run, first run included.
   /// `extra_key` extends the slot key (snapshot identity: the executor
-  /// passes scenario + tick policy when snapshots are on, so a parked
-  /// slot's held snapshot matches the next campaign that checks it out).
-  /// Empty (the default) keeps the classic (board, tuning) keying.
+  /// passes scenario + tick policy, so a parked slot's held snapshot
+  /// matches the next campaign that checks it out). Empty (the default)
+  /// keys by (board, tuning) alone.
   [[nodiscard]] TestbedLease acquire(
       const std::string& board_name, const std::string& tuning_text,
       const platform::BoardRegistry::Entry& entry,
@@ -108,7 +111,7 @@ class TestbedPool {
     std::uint64_t reuses = 0;    ///< checkouts served from an idle slot
     std::size_t idle_slots = 0;  ///< slots currently parked in the pool
     // Per-run provisioning counters (recorded lock-free by the executor).
-    std::uint64_t run_resets = 0;      ///< runs provisioned by full reset+boot
+    std::uint64_t run_resets = 0;      ///< runs provisioned by reset+setup+boot
     std::uint64_t run_restores = 0;    ///< runs provisioned by snapshot restore
     std::uint64_t captures = 0;        ///< snapshots captured
     std::uint64_t snapshot_bytes = 0;  ///< DRAM payload bytes, last capture

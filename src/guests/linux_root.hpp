@@ -22,6 +22,8 @@ namespace mcs::guest {
 struct MgmtCommand {
   jh::Hypercall op = jh::Hypercall::CellGetState;
   std::uint32_t arg = 0;  ///< config address for create, cell id otherwise
+
+  bool operator==(const MgmtCommand&) const = default;
 };
 
 /// Result record the driver keeps (what the shell would have printed).
@@ -75,9 +77,10 @@ class LinuxRootImage final : public jh::GuestImage {
 
   [[nodiscard]] std::uint64_t jiffies() const noexcept { return jiffies_; }
 
-  // --- snapshot / restore (testbed warm-start) --------------------------
-  /// The record vector is append-only between resets, so it snapshots as
-  /// a length and restores by truncation.
+  // --- snapshot / restore ------------------------------------------------
+  /// The record vector is append-only between restores, so it snapshots
+  /// as a length and restores by truncation (to empty for the power-on
+  /// image; capacity kept).
   struct Snapshot {
     std::vector<MgmtCommand> pending;
     std::size_t record_count = 0;
@@ -86,6 +89,8 @@ class LinuxRootImage final : public jh::GuestImage {
     jh::HvcResult last_poll_state = jh::kHvcENoEnt;
     std::uint64_t jiffies = 0;
     std::uint64_t quantum_counter = 0;
+
+    bool operator==(const Snapshot&) const = default;
   };
 
   void snapshot_to(Snapshot& out) const {
@@ -107,18 +112,6 @@ class LinuxRootImage final : public jh::GuestImage {
     last_poll_state_ = snapshot.last_poll_state;
     jiffies_ = snapshot.jiffies;
     quantum_counter_ = snapshot.quantum_counter;
-  }
-
-  /// Power-on restore: pending commands, management records and driver
-  /// bookkeeping back to the freshly constructed state (capacity kept).
-  void reset() noexcept {
-    pending_.clear();
-    records_.clear();
-    last_created_cell_ = 0;
-    monitored_cell_ = 0;
-    last_poll_state_ = jh::kHvcENoEnt;
-    jiffies_ = 0;
-    quantum_counter_ = 0;
   }
 
  private:

@@ -84,31 +84,34 @@ class Os {
   /// pending activations ∈ {0, 1} per basic task.
   [[nodiscard]] bool invariants_hold() const noexcept;
 
-  /// Power-on restore: drop every task and alarm, rewind the system
-  /// counter. Container capacity is kept for reuse.
-  void reset() noexcept;
-
-  // --- snapshot / restore (testbed warm-start) --------------------------
+  // --- snapshot / restore ------------------------------------------------
   /// Tasks and alarms are declared only at configuration time
   /// (pre-capture), so the snapshot stores their mutable fields by index;
   /// restore truncates to the captured counts and rewinds in place —
-  /// names, priorities and body closures are never copied.
+  /// names, priorities and body closures are never copied. The power-on
+  /// image (an empty OS) drops every task and alarm, capacity kept.
   struct Snapshot {
     struct TaskData {
       TaskState state = TaskState::Suspended;
       bool pending = false;
       std::uint64_t activations = 0;
       bool chained = false;
+
+      bool operator==(const TaskData&) const = default;
     };
     struct AlarmData {
       bool armed = false;
       std::uint64_t expires_at = 0;
       std::uint64_t cycle = 0;
+
+      bool operator==(const AlarmData&) const = default;
     };
     std::vector<TaskData> tasks;
     std::vector<AlarmData> alarms;
     std::uint64_t counter = 0;
     std::uint64_t dispatches = 0;
+
+    bool operator==(const Snapshot&) const = default;
   };
 
   void snapshot_to(Snapshot& out) const;

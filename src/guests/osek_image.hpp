@@ -33,7 +33,9 @@ class OsekImage final : public jh::GuestImage {
   [[nodiscard]] std::uint64_t doorbells() const noexcept { return doorbells_; }
   [[nodiscard]] std::uint64_t unknown_irqs() const noexcept { return unknown_irqs_; }
 
-  // --- snapshot / restore (testbed warm-start) --------------------------
+  // --- snapshot / restore ------------------------------------------------
+  /// Restoring the power-on image (taken at construction) drops the task
+  /// set; on_start() re-declares the workload.
   struct Snapshot {
     osek::Os::Snapshot os;
     bool configured = false;
@@ -47,6 +49,8 @@ class OsekImage final : public jh::GuestImage {
     std::uint32_t frame_seq = 0;
     bool pending_frame = false;
     std::uint64_t quantum_counter = 0;
+
+    bool operator==(const Snapshot&) const = default;
   };
 
   void snapshot_to(Snapshot& out) const {
@@ -77,23 +81,6 @@ class OsekImage final : public jh::GuestImage {
     frame_seq_ = snapshot.frame_seq;
     pending_frame_ = snapshot.pending_frame;
     quantum_counter_ = snapshot.quantum_counter;
-  }
-
-  /// Power-on restore: OS, task set and every workload counter back to
-  /// the freshly constructed state; on_start() re-declares the workload.
-  void reset() noexcept {
-    os_.reset();
-    configured_ = false;
-    samples_ = 0;
-    frames_ = 0;
-    kicks_ = 0;
-    errors_ = 0;
-    doorbells_ = 0;
-    unknown_irqs_ = 0;
-    pressure_raw_ = 0x800;
-    frame_seq_ = 0;
-    pending_frame_ = false;
-    quantum_counter_ = 0;
   }
 
  private:

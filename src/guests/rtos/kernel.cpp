@@ -114,14 +114,6 @@ std::optional<TaskId> Kernel::find_task(std::string_view name) const {
   return std::nullopt;
 }
 
-void Kernel::reset() noexcept {
-  tasks_.clear();
-  queues_.clear();
-  tick_count_ = 0;
-  dispatches_ = 0;
-  rr_cursor_ = static_cast<std::size_t>(-1);
-}
-
 bool Kernel::invariants_hold() const noexcept {
   for (const Task& t : tasks_) {
     if (t.state == TaskState::Running) return false;  // residue between slices

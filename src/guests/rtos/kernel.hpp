@@ -75,17 +75,14 @@ class Kernel {
   /// residue between slices; blocked tasks have a wake reason.
   [[nodiscard]] bool invariants_hold() const noexcept;
 
-  /// Power-on restore: drop every task and queue, rewind kernel time.
-  /// Container capacity is kept, so a reused image re-spawning the same
-  /// workload allocates (almost) nothing.
-  void reset() noexcept;
-
-  // --- snapshot / restore (testbed warm-start) --------------------------
+  // --- snapshot / restore ------------------------------------------------
   /// Tasks and queues are created only during guest start-up (pre-capture)
   /// and never removed mid-run, so the snapshot stores per-task/queue
   /// mutable fields by index plus the captured counts. Restore truncates
   /// back to those counts and rewinds the mutable fields in place — task
-  /// identity (name, priority, step closure) is never copied.
+  /// identity (name, priority, step closure) is never copied. The
+  /// power-on image (an empty kernel) drops every task and queue while
+  /// container capacity is kept.
   struct Snapshot {
     struct TaskData {
       TaskState state = TaskState::Ready;
@@ -94,12 +91,16 @@ class Kernel {
       bool waiting_for_space = false;
       std::uint64_t dispatches = 0;
       std::uint64_t errors = 0;
+
+      bool operator==(const TaskData&) const = default;
     };
     std::vector<TaskData> tasks;
     std::vector<MessageQueue::Snapshot> queues;
     std::uint64_t tick_count = 0;
     std::uint64_t dispatches = 0;
     std::size_t rr_cursor = static_cast<std::size_t>(-1);
+
+    bool operator==(const Snapshot&) const = default;
   };
 
   void snapshot_to(Snapshot& out) const {

@@ -36,6 +36,8 @@ class MessageQueue {
     std::uint64_t sends = 0;
     std::uint64_t receives = 0;
     std::uint64_t send_failures = 0;
+
+    bool operator==(const Snapshot&) const = default;
   };
 
   void snapshot_to(Snapshot& out) const {

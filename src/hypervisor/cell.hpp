@@ -82,6 +82,8 @@ class Cell {
     std::uint64_t console_bytes = 0;
     std::uint64_t hypercalls = 0;
     std::uint64_t stage2_faults = 0;
+
+    bool operator==(const Snapshot&) const = default;
   };
 
   void snapshot_to(Snapshot& out) const {

@@ -33,6 +33,8 @@ enum class ConsoleKind : std::uint8_t {
 struct ConsoleConfig {
   ConsoleKind kind = ConsoleKind::None;
   std::uint64_t uart_base = 0;  ///< physical UART window the console uses
+
+  bool operator==(const ConsoleConfig&) const = default;
 };
 
 struct CellConfig {
@@ -45,6 +47,8 @@ struct CellConfig {
 
   /// Structural validation (what Jailhouse's config parser rejects).
   [[nodiscard]] util::Status validate(int board_cpus) const;
+
+  bool operator==(const CellConfig&) const = default;
 };
 
 // ---------------------------------------------------------------------------

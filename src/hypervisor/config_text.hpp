@@ -74,6 +74,8 @@ struct CellTuning {
     return ram_size == 0 && !has_console_kind && board.empty() &&
            fault_domain.empty();
   }
+
+  bool operator==(const CellTuning&) const = default;
 };
 
 /// Parse tuning text; EINVAL with a line-numbered message on malformed

@@ -23,19 +23,6 @@ Hypervisor::Hypervisor(platform::Board& board) : board_(&board) {
   cpu_owner_.fill(kRootCellId);
 }
 
-void Hypervisor::reset() {
-  enabled_ = false;
-  panicked_ = false;
-  panic_reason_.clear();
-  counters_ = Counters{};
-  hook_ = nullptr;
-  next_cell_id_ = 1;
-  retire_all_tlb_counters();
-  cells_.clear();
-  config_registry_.clear();
-  cpu_owner_.fill(kRootCellId);
-}
-
 void Hypervisor::retire_tlb_counters(const Cell& cell) noexcept {
   retired_tlb_hits_ += cell.address_space().tlb_hits();
   retired_tlb_misses_ += cell.address_space().tlb_misses();
@@ -70,6 +57,7 @@ void Hypervisor::snapshot_to(Snapshot& out) const {
     out.cells.emplace_back();
     cell->snapshot_to(out.cells.back());
   }
+  out.config_registry = config_registry_;
 }
 
 void Hypervisor::restore_from(const Snapshot& snapshot) {
@@ -80,6 +68,9 @@ void Hypervisor::restore_from(const Snapshot& snapshot) {
   hook_ = nullptr;
   next_cell_id_ = snapshot.next_cell_id;
   cpu_owner_ = snapshot.cpu_owner;
+  if (config_registry_ != snapshot.config_registry) {
+    config_registry_ = snapshot.config_registry;
+  }
   // Ids are monotonic, so a live cell with a captured id *is* the captured
   // cell: restore it in place. Cells created after capture are dropped;
   // cells destroyed after capture are rebuilt from the captured config

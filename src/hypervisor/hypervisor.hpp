@@ -94,6 +94,8 @@ struct Counters {
   std::uint64_t cpu_parks = 0;
   std::uint64_t panics = 0;
   std::uint64_t hypercall_errors = 0;
+
+  bool operator==(const Counters&) const = default;
 };
 
 class Hypervisor {
@@ -108,13 +110,6 @@ class Hypervisor {
   /// `jailhouse enable`: install the root cell, take over the CPUs.
   util::Status enable(CellConfig root_config);
   [[nodiscard]] bool is_enabled() const noexcept { return enabled_; }
-
-  /// Power-on restore: cells, config registry, counters, panic state,
-  /// CPU ownership and the entry hook all back to the post-construction
-  /// defaults, without touching the board. Frees only what the previous
-  /// run created (cells), allocates nothing — the testbed pool's
-  /// per-run reset path. The board reference is untouched.
-  void reset();
 
   // --- root-driver side: config registry --------------------------------
   /// The root driver copies a cell config into kernel memory and passes
@@ -172,16 +167,17 @@ class Hypervisor {
   [[nodiscard]] platform::Board& board() noexcept { return *board_; }
 
   /// Stage-2 TLB totals summed over live cells plus every cell retired so
-  /// far (destroy/disable/reset take a cell's counters into the retired
+  /// far (destroy/disable/restore take a cell's counters into the retired
   /// tally first, so the totals are monotonic instrumentation — never
   /// snapshotted or restored; consumers window them by differencing).
   [[nodiscard]] std::uint64_t stage2_tlb_hits() const noexcept;
   [[nodiscard]] std::uint64_t stage2_tlb_misses() const noexcept;
 
-  // --- snapshot / restore (testbed warm-start) --------------------------
-  /// Captures everything a run can mutate. The config registry is written
-  /// only during scenario setup (pre-capture) and the entry hook is
-  /// detached between runs, so neither is part of the snapshot.
+  // --- snapshot / restore ------------------------------------------------
+  /// Captures everything a run can mutate, config registry included. The
+  /// entry hook is detached between runs, so it is not part of the
+  /// snapshot: restore always leaves it detached. A snapshot taken right
+  /// after construction is the power-on image (no cells, no configs).
   struct Snapshot {
     bool enabled = false;
     bool panicked = false;
@@ -190,13 +186,18 @@ class Hypervisor {
     CellId next_cell_id = 1;
     std::array<CellId, irq::kMaxCpus> cpu_owner{};
     std::vector<Cell::Snapshot> cells;  ///< in ascending id order
+    std::map<std::uint64_t, CellConfig> config_registry;
+
+    bool operator==(const Snapshot&) const = default;
   };
 
   void snapshot_to(Snapshot& out) const;
 
   /// Restore in place: live cells matching a captured id are rewound
   /// without reallocation; cells created after capture are erased; cells
-  /// destroyed after capture are rebuilt from their captured config.
+  /// destroyed after capture are rebuilt from their captured config. The
+  /// config registry is copied only when it differs, so the steady
+  /// restore path allocates nothing.
   void restore_from(const Snapshot& snapshot);
 
  private:
@@ -263,8 +264,8 @@ class Hypervisor {
   std::map<CellId, std::unique_ptr<Cell>> cells_;
   std::map<std::uint64_t, CellConfig> config_registry_;
   std::array<CellId, irq::kMaxCpus> cpu_owner_{};
-  /// Monotonic instrumentation (see stage2_tlb_hits): survives reset and
-  /// snapshot restore by design.
+  /// Monotonic instrumentation (see stage2_tlb_hits): survives snapshot
+  /// restore (power-on included) by design.
   std::uint64_t retired_tlb_hits_ = 0;
   std::uint64_t retired_tlb_misses_ = 0;
 };

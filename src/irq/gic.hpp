@@ -102,12 +102,6 @@ class Gic {
   /// Drop all pending/active state for a CPU (cell destruction reclaim).
   void reset_cpu(int cpu) noexcept;
 
-  /// Full power-on restore: distributor line state (enable/priority/
-  /// target), per-CPU pending/active, delivery counters and priority
-  /// masks all back to the post-construction defaults. Board::reset uses
-  /// this so a reused board's irqchip is indistinguishable from new.
-  void reset() noexcept;
-
   // --- statistics -------------------------------------------------------
   [[nodiscard]] std::uint64_t delivered(IrqId irq) const noexcept;
 
@@ -124,6 +118,8 @@ class Gic {
     std::array<bool, kMaxCpus> pending{};  // per-CPU for SGI/PPI; [target] for SPI
     std::array<bool, kMaxCpus> active{};
     std::uint64_t delivered = 0;
+
+    bool operator==(const Line&) const = default;
   };
 
   /// Per-CPU pending summary: bit `irq` mirrors lines_[irq].pending[cpu].
@@ -161,6 +157,8 @@ class Gic {
 struct Gic::Snapshot {
   std::array<Line, kNumIrqs> lines{};
   std::array<std::uint8_t, kMaxCpus> priority_mask{};
+
+  bool operator==(const Snapshot&) const = default;
 };
 
 inline void Gic::snapshot_to(Snapshot& out) const noexcept {

@@ -147,6 +147,8 @@ class MemoryMap {
   struct Snapshot {
     std::vector<MemRegion> regions;
     std::optional<Stage2Fault> last_fault;
+
+    bool operator==(const Snapshot&) const = default;
   };
 
   void snapshot_to(Snapshot& out) const {

@@ -31,16 +31,6 @@ std::uint8_t* PhysicalMemory::touch_page(PhysAddr addr) {
   return page;
 }
 
-void PhysicalMemory::reset_contents() noexcept {
-  // Clean resident pages are all-zero by invariant; only written pages
-  // need scrubbing.
-  for (const std::uint64_t index : dirty_list_) {
-    std::memset(table_[index], 0, kPageSize);
-    dirty_flags_[index] = 0;
-  }
-  dirty_list_.clear();
-}
-
 void PhysicalMemory::snapshot_to(Snapshot& out, util::Arena& arena) const {
   out.pages.clear();
   out.pages.reserve(dirty_list_.size());
@@ -57,7 +47,7 @@ void PhysicalMemory::snapshot_to(Snapshot& out, util::Arena& arena) const {
 
 void PhysicalMemory::restore_from(const Snapshot& snapshot) noexcept {
   // The current dirty list is a superset of the snapshot's page set
-  // (flags are cleared only here and in reset_contents), so one pass over
+  // (flags are cleared only here and by clear()), so one pass over
   // it reaches every page whose contents can differ from the capture.
   const auto begin = snapshot.pages.begin();
   const auto end = snapshot.pages.end();

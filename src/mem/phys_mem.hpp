@@ -3,9 +3,10 @@
 // Backed by 4 KiB pages allocated on first touch so a full-board model
 // costs only what the workload actually dirties. Page storage comes from
 // a util::Arena owned by the memory itself: materialising a page is a
-// pointer bump, and reset_contents() restores every resident page to
-// power-on zeroes *in place* — no frees, no allocations — which is what
-// lets a pooled testbed reuse its board RAM windows run after run.
+// pointer bump, and restoring an empty snapshot (the power-on image)
+// returns every resident page to zeroes *in place* — no frees, no
+// allocations — which is what lets a pooled testbed reuse its board RAM
+// windows run after run.
 //
 // Page lookup is a *flat pointer table* indexed by page number (2 MiB of
 // pointers for the 1 GiB window) instead of a hash map: the per-access
@@ -17,7 +18,7 @@
 //
 // Pages are dirty-tracked: every write path marks its page, and the
 // invariant "a resident page not on the dirty list is all-zero" lets
-// reset_contents(), snapshot capture and snapshot restore touch only the
+// snapshot capture and restore touch only the
 // pages a run actually wrote instead of the whole resident set. All
 // accesses are bounds checked against the DRAM window; device windows
 // live *outside* DRAM and are handled by the board's MMIO dispatch, not
@@ -135,9 +136,9 @@ class PhysicalMemory {
   /// Number of 4 KiB pages materialised so far.
   [[nodiscard]] std::size_t resident_pages() const noexcept { return resident_; }
 
-  /// Pages written since the last reset_contents()/restore_from() — the
-  /// set the next power-on restore has to zero (and a snapshot has to
-  /// copy). Always ≤ resident_pages().
+  /// Pages written since the last restore_from() — the set the next
+  /// restore has to rewrite or zero (and a snapshot has to copy). Always
+  /// ≤ resident_pages().
   [[nodiscard]] std::size_t dirty_pages() const noexcept {
     return dirty_list_.size();
   }
@@ -159,13 +160,6 @@ class PhysicalMemory {
     arena_.reset();
   }
 
-  /// Power-on restore without freeing: every *dirty* resident page is
-  /// zeroed in place and stays resident (clean resident pages are already
-  /// zero by invariant), so reads are indistinguishable from a fresh
-  /// memory while the steady-state reuse path performs zero heap
-  /// allocations for pages it already touched.
-  void reset_contents() noexcept;
-
   /// Copy-on-capture image of the dirty page set. Page payloads live in
   /// the arena handed to snapshot_to(); the snapshot is valid until that
   /// arena rewinds past them.
@@ -173,11 +167,19 @@ class PhysicalMemory {
     struct Page {
       std::uint64_t index = 0;       ///< page number within the DRAM window
       const std::uint8_t* data = nullptr;  ///< kPageSize bytes, arena-owned
+
+      /// Same page number and byte-identical payload.
+      bool operator==(const Page& other) const noexcept {
+        return index == other.index &&
+               std::memcmp(data, other.data, kPageSize) == 0;
+      }
     };
     std::vector<Page> pages;  ///< sorted by index (binary-search restore)
     [[nodiscard]] std::size_t bytes() const noexcept {
       return pages.size() * kPageSize;
     }
+
+    bool operator==(const Snapshot&) const = default;
   };
 
   /// Capture every dirty page into `arena`-owned storage. The capture is
@@ -186,9 +188,12 @@ class PhysicalMemory {
 
   /// Restore the captured contents in place. Touches only pages that are
   /// currently dirty (a superset of the snapshot's page set — dirty flags
-  /// are only ever cleared by reset/restore themselves), so the cost
-  /// scales with what the run wrote, and the dirty set afterwards equals
-  /// the snapshot's. Zero heap allocations in steady state.
+  /// are only ever cleared by restore itself), so the cost scales with
+  /// what the run wrote, and the dirty set afterwards equals the
+  /// snapshot's. Zero heap allocations in steady state. An empty snapshot
+  /// is the power-on image: every dirty page is zeroed and stays resident
+  /// (clean resident pages are zero by invariant), so reads are
+  /// indistinguishable from a fresh memory.
   void restore_from(const Snapshot& snapshot) noexcept;
 
  private:

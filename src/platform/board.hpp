@@ -104,21 +104,15 @@ class Board {
     return deadline_refreshes_;
   }
 
-  /// Power-on restore without freeing memory: clock back to tick 0, CPUs
-  /// (including profiling counters), devices and serial captures, irqchip
-  /// line state, DRAM contents (resident pages zeroed in place) and the
-  /// event log. After reset() the board is observably indistinguishable
-  /// from a freshly constructed one — the contract the testbed pool's
-  /// reuse-equivalence suite pins — while every backing allocation (CPU
-  /// arena block, DRAM pages, capture/log capacity) stays resident for
-  /// the next run.
-  void reset();
-
-  // --- snapshot / restore (testbed warm-start) --------------------------
+  // --- snapshot / restore ------------------------------------------------
   /// Everything a run mutates below the hypervisor: clock, CPUs, devices,
   /// irqchip, DRAM (dirty pages only) and the log length. Page payloads
   /// are copied into `page_arena` (the testbed's run arena), everything
-  /// else lives inline in the struct.
+  /// else lives inline in the struct. A snapshot taken right after
+  /// construction is the board's power-on image: restoring it rewinds the
+  /// clock to tick 0, zeroes the dirty DRAM pages in place and truncates
+  /// the serial captures and event log, while every backing allocation
+  /// (CPU arena block, DRAM pages, capture/log capacity) stays resident.
   struct Snapshot {
     util::Ticks clock_now{};
     std::vector<arch::Cpu::Snapshot> cpus;
@@ -129,6 +123,8 @@ class Board {
     Gpio::Snapshot gpio;
     mem::PhysicalMemory::Snapshot dram;
     std::size_t log_records = 0;
+
+    bool operator==(const Snapshot&) const = default;
   };
 
   void snapshot_to(Snapshot& out, util::Arena& page_arena) const;
@@ -140,7 +136,7 @@ class Board {
 
   BoardSpec spec_;
   /// Construction-scoped storage (CPU blocks); never rewound — the board
-  /// keeps its hardware for life, reset() only restores state.
+  /// keeps its hardware for life, restore_from() only restores state.
   util::Arena arena_{4 * 1024};
   util::SimClock clock_;
   util::EventLog log_;

@@ -40,7 +40,6 @@ class PeriodicTimer final : public Device {
   util::Status mmio_write(std::uint64_t offset, std::uint32_t value) override;
   [[nodiscard]] util::Ticks next_deadline(util::Ticks now) const override;
   void tick(util::Ticks now) override;
-  void reset() override;
 
   /// Convenience for guests that program the timer directly (the usual
   /// path in the simulation; MMIO exists for device-model completeness).
@@ -67,6 +66,8 @@ class PeriodicTimer final : public Device {
     /// frozen `remaining`), re-armed relative to `now` on enable.
     std::uint32_t paused_remaining = 0;
     std::uint64_t fires = 0;
+
+    bool operator==(const PerCpu&) const = default;
   };
 
   /// Residual ticks until fire as the countdown model would report it.
@@ -80,6 +81,8 @@ class PeriodicTimer final : public Device {
 
 struct PeriodicTimer::Snapshot {
   std::array<PerCpu, irq::kMaxCpus> cpus{};
+
+  bool operator==(const Snapshot&) const = default;
 };
 
 inline void PeriodicTimer::snapshot_to(Snapshot& out) const noexcept {

@@ -34,7 +34,6 @@ class Uart final : public Device {
 
   [[nodiscard]] util::Expected<std::uint32_t> mmio_read(std::uint64_t offset) override;
   util::Status mmio_write(std::uint64_t offset, std::uint32_t value) override;
-  void reset() override;
 
   /// Everything ever transmitted (the log the paper collects).
   [[nodiscard]] const std::string& captured() const noexcept { return captured_; }
@@ -55,13 +54,15 @@ class Uart final : public Device {
   void clear_capture() noexcept { captured_.clear(); }
 
   // --- snapshot / restore (testbed warm-start) --------------------------
-  /// The capture buffer is append-only between board resets, so its
+  /// The capture buffer is append-only between restores, so its
   /// snapshot is just a length: restore truncates back to the captured
   /// prefix (no byte copies, no allocations).
   struct Snapshot {
     std::size_t captured_size = 0;
     std::string rx_fifo;
     bool tx_irq_enabled = false;
+
+    bool operator==(const Snapshot&) const = default;
   };
 
   void snapshot_to(Snapshot& out) const {

@@ -27,7 +27,7 @@ class AllocationObserver {
   /// Scoped window: allocations performed since construction.
   class Window {
    public:
-    Window() noexcept : start_(allocations()) {}
+    Window() noexcept : start_(AllocationObserver::allocations()) {}
     [[nodiscard]] std::uint64_t allocations() const noexcept {
       return AllocationObserver::allocations() - start_;
     }

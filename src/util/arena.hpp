@@ -71,6 +71,8 @@ class Arena {
     std::size_t active = 0;       ///< block cursor at mark time
     std::size_t active_used = 0;  ///< that block's fill level
     std::size_t in_use = 0;       ///< bytes_in_use() at mark time
+
+    bool operator==(const Mark&) const = default;
   };
 
   [[nodiscard]] Mark mark() const noexcept {

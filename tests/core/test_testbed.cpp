@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/injector.hpp"
+#include "core/scenario.hpp"
 #include "hypervisor/ivshmem.hpp"
 #include "platform/board_registry.hpp"
 
@@ -214,6 +216,49 @@ TEST(TestbedReset, RestoresIvshmemRingContentsToPowerOn) {
   EXPECT_EQ(testbed.board().dram().read_u32(jh::kIvshmemRingAToB + 16).value(), 0u);
   EXPECT_EQ(testbed.ivshmem_stats().sent, 0u);
   EXPECT_FALSE(testbed.ivshmem_enabled());
+}
+
+TEST(TestbedReset, ResetImageMatchesFreshImageForEveryScenario) {
+  // reset() restores the power-on image captured at construction, so
+  // after any run — injected failures included — the testbed's image must
+  // equal, field for field, a freshly built testbed's on the same board.
+  for (const std::string board : {"bananapi", "quad-a7"}) {
+    for (const std::string& name : ScenarioRegistry::instance().names()) {
+      if (name.rfind("test-", 0) == 0) continue;  // suite-local fixtures
+      const Scenario* scenario = find_scenario(name);
+      TestPlan plan = scenario->make_plan();
+      plan.duration_ticks = 2'000;
+      plan.phase = 2;  // inject early so failure residue is reached
+      const std::string label = name + " on " + board;
+
+      Testbed used(platform::make_board(board));
+      if (scenario->setup(used).is_ok()) {
+        Injector injector(plan, 0xC0FFEE, used.board().clock());
+        injector.attach(used.hypervisor());
+        scenario->boot(used);
+        used.capture_snapshot("post-boot");
+        scenario->observe(used, plan);
+        scenario->epilogue(used);
+        injector.detach(used.hypervisor());
+      }
+      used.reset();
+      EXPECT_FALSE(used.has_snapshot("post-boot")) << label;
+      used.capture_snapshot("image");
+
+      Testbed fresh(platform::make_board(board));
+      fresh.capture_snapshot("image");
+
+      const TestbedSnapshot& got = used.snapshot();
+      const TestbedSnapshot& want = fresh.snapshot();
+      EXPECT_TRUE(got.board == want.board) << label << ": board";
+      EXPECT_TRUE(got.hv == want.hv) << label << ": hypervisor";
+      EXPECT_TRUE(got.machine == want.machine) << label << ": machine";
+      EXPECT_TRUE(got.linux_root == want.linux_root) << label << ": linux";
+      EXPECT_TRUE(got.freertos == want.freertos) << label << ": freertos";
+      EXPECT_TRUE(got.osek == want.osek) << label << ": osek";
+      EXPECT_TRUE(got == want) << label << ": testbed bookkeeping";
+    }
+  }
 }
 
 TEST(TestbedReset, RunArenaIsRunScoped) {

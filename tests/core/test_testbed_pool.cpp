@@ -175,16 +175,18 @@ TEST(TestbedPool, ExecutorReusesSlotsAcrossRunsAndCampaigns) {
 }
 
 TEST(TestbedPool, FreshModeBypassesThePool) {
+  // execute_one() is the fresh-construction oracle: it builds its own
+  // testbed and never checks a slot out of the pool.
   TestPlan plan = find_scenario("freertos-steady")->make_plan();
   plan.runs = 2;
   plan.duration_ticks = 200;
   ExecutorConfig config;
   config.threads = 1;
   config.probe_recovery = false;
-  config.reuse_testbeds = false;
   const auto before = TestbedPool::instance().stats();
-  CampaignExecutor executor(plan, config);
-  (void)executor.execute();
+  const CampaignExecutor executor(plan, config);
+  (void)executor.execute_one(1);
+  (void)executor.execute_one(2);
   const auto after = TestbedPool::instance().stats();
   EXPECT_EQ(after.acquires, before.acquires);
 }

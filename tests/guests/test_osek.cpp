@@ -130,7 +130,7 @@ TEST_P(OsekProperty, InvariantsUnderRandomActivity) {
   Os os;
   util::Xoshiro256 rng(GetParam());
   for (int i = 0; i < 5; ++i) {
-    (void)os.declare_task("t" + std::to_string(i),
+    (void)os.declare_task(std::string(1, 't').append(std::to_string(i)),
                           1 + static_cast<unsigned>(i % 3), [](TaskContext&) {});
   }
   const AlarmId alarm = os.declare_alarm("a", 0);

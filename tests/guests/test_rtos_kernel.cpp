@@ -157,7 +157,8 @@ TEST_P(KernelProperty, InvariantsHoldUnderRandomActivity) {
   const QueueId queue = kernel.create_queue(4);
   for (int i = 0; i < 6; ++i) {
     (void)kernel.add_task(
-        "t" + std::to_string(i), 1 + static_cast<unsigned>(i % 3),
+        std::string(1, 't').append(std::to_string(i)),
+        1 + static_cast<unsigned>(i % 3),
         [&rng, queue](TaskContext& t) {
           switch (rng.below(4)) {
             case 0: t.kernel.delay(t.self, 1 + rng.below(5)); break;

@@ -121,7 +121,7 @@ TEST_P(ConfigFuzz, MutatedConfigsNeverCrashParser) {
         case 1: mutated.erase(pos, 1 + rng.below(4)); break;
         default: mutated.insert(pos, 1, static_cast<char>(rng.below(128)));
       }
-      if (mutated.empty()) mutated = "x";
+      if (mutated.empty()) mutated.assign(1, 'x');
     }
     // Must not crash; when it *does* parse, the result must still pass
     // structural validation or be rejected there — never UB.

@@ -1,12 +1,12 @@
 // Reuse equivalence for the pooled campaign executor.
 //
-// Checkout/reset-per-run may only ever be an *optimisation*: a campaign
-// executed on pooled, reset-in-place testbeds must be bit-identical to
-// the same campaign on build-per-run fresh construction — same run-log
-// lines, same outcomes and details, same aggregates — on every scenario,
-// every board variant and every thread count. This suite pins that, plus
-// the sweep driver's resume byte-identity under pooling (the resume
-// fingerprint path must be untouched by the reuse machinery).
+// Slot reuse may only ever be an *optimisation*: a campaign executed on
+// pooled testbeds must be bit-identical to the same campaign run by the
+// execute_one() fresh-construction oracle — same run-log lines, same
+// outcomes and details, same aggregates — on every scenario, every board
+// variant and every thread count. This suite pins that, plus the sweep
+// driver's resume byte-identity under pooling (the resume fingerprint
+// path must be untouched by the reuse machinery).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,20 +16,17 @@
 #include <string>
 #include <vector>
 
-#include "analysis/log_sink.hpp"
 #include "analysis/report.hpp"
-#include "core/executor.hpp"
+#include "campaign_oracle.hpp"
 #include "core/sweep.hpp"
-#include "platform/board_registry.hpp"
 
 namespace mcs::fi {
 namespace {
 
-struct CampaignCapture {
-  CampaignResult result;
-  std::string log_text;
-  analysis::CampaignAggregate aggregate;
-};
+using oracle::CampaignCapture;
+using oracle::executor_campaign;
+using oracle::expect_identical;
+using oracle::oracle_campaign;
 
 TestPlan reuse_plan(const std::string& scenario, const std::string& board) {
   TestPlan plan = find_scenario(scenario)->make_plan();
@@ -40,74 +37,17 @@ TestPlan reuse_plan(const std::string& scenario, const std::string& board) {
   return plan;
 }
 
-CampaignCapture run_campaign(const TestPlan& plan, bool reuse,
-                             unsigned threads) {
-  CampaignCapture capture;
-  ExecutorConfig config;
-  config.threads = threads;
-  config.tick_policy = jh::TickPolicy::EventDriven;
-  config.reuse_testbeds = reuse;
-  CampaignExecutor executor(plan, config);
-  analysis::LogSink sink;
-  executor.set_progress([&sink](std::uint32_t index, const RunResult& run) {
-    sink.record(index, run);
-  });
-  capture.result = executor.execute();
-  capture.log_text = sink.text();
-  capture.aggregate = sink.aggregate();
-  return capture;
-}
-
-void expect_identical(const CampaignCapture& fresh, const CampaignCapture& pooled,
-                      const std::string& label) {
-  // Bit-identical run logs are the headline: every observable a run
-  // reports is rendered into its log line.
-  EXPECT_EQ(fresh.log_text, pooled.log_text) << label;
-  ASSERT_EQ(fresh.result.runs.size(), pooled.result.runs.size()) << label;
-  for (std::size_t i = 0; i < fresh.result.runs.size(); ++i) {
-    const RunResult& x = fresh.result.runs[i];
-    const RunResult& y = pooled.result.runs[i];
-    const std::string at = label + ", run " + std::to_string(i);
-    EXPECT_EQ(x.outcome, y.outcome) << at;
-    EXPECT_EQ(x.detail, y.detail) << at;
-    EXPECT_EQ(x.injections, y.injections) << at;
-    EXPECT_EQ(x.flipped_bits, y.flipped_bits) << at;
-    EXPECT_EQ(x.first_injection_tick, y.first_injection_tick) << at;
-    EXPECT_EQ(x.failure_tick, y.failure_tick) << at;
-    EXPECT_EQ(x.uart1_bytes, y.uart1_bytes) << at;
-    EXPECT_EQ(x.led_toggles, y.led_toggles) << at;
-    EXPECT_EQ(x.traps, y.traps) << at;
-    EXPECT_EQ(x.hvcs, y.hvcs) << at;
-    EXPECT_EQ(x.irqs, y.irqs) << at;
-    EXPECT_EQ(x.create_result, y.create_result) << at;
-    EXPECT_EQ(x.start_result, y.start_result) << at;
-    EXPECT_EQ(x.cell_exists, y.cell_exists) << at;
-    EXPECT_EQ(x.shutdown_reclaimed, y.shutdown_reclaimed) << at;
-  }
-  // Aggregates fold from the runs; compare the fields analytics consume.
-  for (std::size_t o = 0; o < kNumOutcomes; ++o) {
-    const auto outcome = static_cast<Outcome>(o);
-    EXPECT_EQ(fresh.aggregate.distribution.count(outcome),
-              pooled.aggregate.distribution.count(outcome))
-        << label << ": " << outcome_name(outcome);
-  }
-  EXPECT_EQ(fresh.aggregate.injections, pooled.aggregate.injections) << label;
-  EXPECT_EQ(fresh.aggregate.cell_failures, pooled.aggregate.cell_failures) << label;
-  EXPECT_EQ(fresh.aggregate.reclaimed, pooled.aggregate.reclaimed) << label;
-}
-
 TEST(ReuseEquivalence, PooledMatchesFreshOnEveryScenarioBoardAndThreadCount) {
-  // {scenario} × {board} × {1, 4, 8} threads. The fresh baseline is the
-  // serial build-per-run engine; thread-count independence of the fresh
-  // path is pinned by the tick-equivalence suite, so one baseline per
-  // (scenario, board) suffices.
+  // {scenario} × {board} × {1, 4, 8} threads against the execute_one()
+  // oracle: one fresh testbed per run, so one baseline per (scenario,
+  // board) suffices.
   for (const std::string& scenario : ScenarioRegistry::instance().names()) {
     if (scenario.rfind("test-", 0) == 0) continue;  // suite-local fixtures
     for (const std::string& board : {std::string("bananapi"), std::string("quad-a7")}) {
       const TestPlan plan = reuse_plan(scenario, board);
-      const CampaignCapture fresh = run_campaign(plan, /*reuse=*/false, 1);
+      const CampaignCapture fresh = oracle_campaign(plan);
       for (const unsigned threads : {1u, 4u, 8u}) {
-        const CampaignCapture pooled = run_campaign(plan, /*reuse=*/true, threads);
+        const CampaignCapture pooled = executor_campaign(plan, threads);
         expect_identical(fresh, pooled,
                          scenario + " on " + board + ", " +
                              std::to_string(threads) + " threads");
@@ -120,22 +60,21 @@ TEST(ReuseEquivalence, PooledCampaignsExerciseFailingRuns) {
   // The identity above is only meaningful if the plans actually reach
   // the failure states whose residue a bad reset would leak.
   const TestPlan plan = reuse_plan("freertos-steady", "bananapi");
-  const CampaignCapture pooled = run_campaign(plan, /*reuse=*/true, 1);
+  const CampaignCapture pooled = executor_campaign(plan, 1);
   const OutcomeDistribution dist = pooled.result.distribution();
   EXPECT_GT(dist.total() - dist.count(Outcome::Correct), 0u)
       << "plan produced no failures; tighten rate/phase";
 }
 
 TEST(ReuseEquivalence, CrossScenarioSlotReuseStaysIdentical) {
-  // A pooled slot may be reused by a *different* scenario next (sweeps
-  // interleave them): run campaign B on slots dirtied by campaign A and
+  // A slot may be reset and re-booted after a *different* scenario ran on
+  // it: run campaign B, reset per run, on a slot dirtied by campaign A and
   // require B to still match its fresh baseline.
-  TestPlan first = reuse_plan("ivshmem-traffic", "quad-a7");
-  TestPlan second = reuse_plan("dual-cell", "quad-a7");
-  const CampaignCapture baseline = run_campaign(second, /*reuse=*/false, 1);
-  (void)run_campaign(first, /*reuse=*/true, 1);   // dirty the pool
-  const CampaignCapture pooled = run_campaign(second, /*reuse=*/true, 1);
-  expect_identical(baseline, pooled, "dual-cell after ivshmem-traffic slots");
+  const TestPlan first = reuse_plan("ivshmem-traffic", "quad-a7");
+  const TestPlan second = reuse_plan("dual-cell", "quad-a7");
+  const CampaignCapture baseline = oracle_campaign(second);
+  const CampaignCapture reused = oracle::reset_per_run_campaign(second, first);
+  expect_identical(baseline, reused, "dual-cell after ivshmem-traffic slots");
 }
 
 // --- sweep resume byte-identity under pooling -------------------------------
@@ -166,7 +105,6 @@ TEST(ReuseEquivalence, SweepResumeStaysByteIdenticalWithPooling) {
 
   ExecutorConfig pooled;
   pooled.threads = 2;
-  pooled.reuse_testbeds = true;
 
   SweepDriver driver(small_sweep(dir.string()), pooled);
   auto first = driver.execute();
@@ -198,15 +136,12 @@ TEST(ReuseEquivalence, SweepResumeStaysByteIdenticalWithPooling) {
   EXPECT_EQ(resumed.value().executed, 2u);
   EXPECT_EQ(render_sweep_report(resumed.value()), fresh_report);
 
-  // And a fresh-construction sweep of the same spec agrees byte for byte.
-  const std::filesystem::path fresh_dir = dir / "fresh";
-  ExecutorConfig fresh;
-  fresh.threads = 2;
-  fresh.reuse_testbeds = false;
-  SweepDriver fresh_driver(small_sweep(fresh_dir.string()), fresh);
-  auto unpooled = fresh_driver.execute();
-  ASSERT_TRUE(unpooled.is_ok()) << unpooled.status().to_string();
-  EXPECT_EQ(render_sweep_report(unpooled.value()), fresh_report);
+  // And the execute_one() oracle over the same cells agrees byte for byte.
+  SweepResult oracle_sweep = first.value();
+  for (SweepCellResult& cell : oracle_sweep.cells) {
+    cell.aggregate = oracle_campaign(cell.plan).aggregate;
+  }
+  EXPECT_EQ(render_sweep_report(oracle_sweep), fresh_report);
 
   std::filesystem::remove_all(dir);
 }

@@ -2,13 +2,13 @@
 //
 // Boot-once/restore-per-run may only ever be an *optimisation*: a
 // campaign whose runs are provisioned by TestbedSnapshot restore must be
-// bit-identical to the same campaign on build-per-run fresh construction
-// and on checkout/reset-per-run pooling — same run-log lines, same
-// outcomes and details, same aggregates — on every scenario, every board
-// variant and every thread count. This suite pins that, checks the
-// restore path is actually exercised (not silently falling back to
-// reset + boot), and pins the sweep driver's interrupt/resume
-// byte-identity with snapshots on and off.
+// bit-identical to the same campaign run by the execute_one()
+// fresh-construction oracle and by reset + reboot per run — same run-log
+// lines, same outcomes and details, same aggregates — on every scenario,
+// every board variant and every thread count. This suite pins that,
+// checks the restore path is actually exercised (not silently falling
+// back to reset + boot), and pins the sweep driver's interrupt/resume
+// byte-identity against the oracle.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -17,22 +17,19 @@
 #include <string>
 #include <vector>
 
-#include "analysis/log_sink.hpp"
 #include "analysis/report.hpp"
-#include "core/executor.hpp"
+#include "campaign_oracle.hpp"
 #include "core/injection_target.hpp"
 #include "core/sweep.hpp"
-#include "core/testbed_pool.hpp"
 #include "hypervisor/cell_config.hpp"
 
 namespace mcs::fi {
 namespace {
 
-struct CampaignCapture {
-  CampaignResult result;
-  std::string log_text;
-  analysis::CampaignAggregate aggregate;
-};
+using oracle::CampaignCapture;
+using oracle::executor_campaign;
+using oracle::expect_identical;
+using oracle::oracle_campaign;
 
 TestPlan snapshot_plan(const std::string& scenario, const std::string& board) {
   TestPlan plan = find_scenario(scenario)->make_plan();
@@ -43,75 +40,17 @@ TestPlan snapshot_plan(const std::string& scenario, const std::string& board) {
   return plan;
 }
 
-enum class Mode { Fresh, Pooled, Snapshot };
-
-CampaignCapture run_campaign(const TestPlan& plan, Mode mode, unsigned threads) {
-  CampaignCapture capture;
-  ExecutorConfig config;
-  config.threads = threads;
-  config.tick_policy = jh::TickPolicy::EventDriven;
-  config.reuse_testbeds = mode != Mode::Fresh;
-  config.use_snapshots = mode == Mode::Snapshot;
-  CampaignExecutor executor(plan, config);
-  analysis::LogSink sink;
-  executor.set_progress([&sink](std::uint32_t index, const RunResult& run) {
-    sink.record(index, run);
-  });
-  capture.result = executor.execute();
-  capture.log_text = sink.text();
-  capture.aggregate = sink.aggregate();
-  return capture;
-}
-
-void expect_identical(const CampaignCapture& fresh, const CampaignCapture& warm,
-                      const std::string& label) {
-  // Bit-identical run logs are the headline: every observable a run
-  // reports is rendered into its log line.
-  EXPECT_EQ(fresh.log_text, warm.log_text) << label;
-  ASSERT_EQ(fresh.result.runs.size(), warm.result.runs.size()) << label;
-  for (std::size_t i = 0; i < fresh.result.runs.size(); ++i) {
-    const RunResult& x = fresh.result.runs[i];
-    const RunResult& y = warm.result.runs[i];
-    const std::string at = label + ", run " + std::to_string(i);
-    EXPECT_EQ(x.outcome, y.outcome) << at;
-    EXPECT_EQ(x.detail, y.detail) << at;
-    EXPECT_EQ(x.injections, y.injections) << at;
-    EXPECT_EQ(x.flipped_bits, y.flipped_bits) << at;
-    EXPECT_EQ(x.first_injection_tick, y.first_injection_tick) << at;
-    EXPECT_EQ(x.failure_tick, y.failure_tick) << at;
-    EXPECT_EQ(x.uart1_bytes, y.uart1_bytes) << at;
-    EXPECT_EQ(x.led_toggles, y.led_toggles) << at;
-    EXPECT_EQ(x.traps, y.traps) << at;
-    EXPECT_EQ(x.hvcs, y.hvcs) << at;
-    EXPECT_EQ(x.irqs, y.irqs) << at;
-    EXPECT_EQ(x.create_result, y.create_result) << at;
-    EXPECT_EQ(x.start_result, y.start_result) << at;
-    EXPECT_EQ(x.cell_exists, y.cell_exists) << at;
-    EXPECT_EQ(x.shutdown_reclaimed, y.shutdown_reclaimed) << at;
-  }
-  for (std::size_t o = 0; o < kNumOutcomes; ++o) {
-    const auto outcome = static_cast<Outcome>(o);
-    EXPECT_EQ(fresh.aggregate.distribution.count(outcome),
-              warm.aggregate.distribution.count(outcome))
-        << label << ": " << outcome_name(outcome);
-  }
-  EXPECT_EQ(fresh.aggregate.injections, warm.aggregate.injections) << label;
-  EXPECT_EQ(fresh.aggregate.cell_failures, warm.aggregate.cell_failures) << label;
-  EXPECT_EQ(fresh.aggregate.reclaimed, warm.aggregate.reclaimed) << label;
-}
-
 TEST(SnapshotEquivalence, RestoredMatchesFreshOnEveryScenarioBoardAndThreadCount) {
-  // {scenario} × {board} × {1, 4, 8} threads. The fresh baseline is the
-  // serial build-per-run engine; thread-count independence of the fresh
-  // path is pinned by the tick-equivalence suite, so one baseline per
-  // (scenario, board) suffices.
+  // {scenario} × {board} × {1, 4, 8} threads against the execute_one()
+  // oracle: one fresh testbed per run, so one baseline per (scenario,
+  // board) suffices.
   for (const std::string& scenario : ScenarioRegistry::instance().names()) {
     if (scenario.rfind("test-", 0) == 0) continue;  // suite-local fixtures
     for (const std::string& board : {std::string("bananapi"), std::string("quad-a7")}) {
       const TestPlan plan = snapshot_plan(scenario, board);
-      const CampaignCapture fresh = run_campaign(plan, Mode::Fresh, 1);
+      const CampaignCapture fresh = oracle_campaign(plan);
       for (const unsigned threads : {1u, 4u, 8u}) {
-        const CampaignCapture warm = run_campaign(plan, Mode::Snapshot, threads);
+        const CampaignCapture warm = executor_campaign(plan, threads);
         expect_identical(fresh, warm,
                          scenario + " on " + board + ", " +
                              std::to_string(threads) + " threads");
@@ -121,14 +60,22 @@ TEST(SnapshotEquivalence, RestoredMatchesFreshOnEveryScenarioBoardAndThreadCount
 }
 
 TEST(SnapshotEquivalence, RestoredMatchesPooledResetPerRun) {
-  // The two warm modes must agree with each other too (they share slots
-  // only within a mode: snapshot slots carry the scenario in their key).
+  // Restore-per-run and reset + reboot per run (on a slot another
+  // scenario dirtied first) must both match the oracle, the former at
+  // every thread width.
   for (const std::string& scenario :
        {std::string("freertos-steady"), std::string("osek-cell")}) {
     const TestPlan plan = snapshot_plan(scenario, "bananapi");
-    const CampaignCapture pooled = run_campaign(plan, Mode::Pooled, 2);
-    const CampaignCapture warm = run_campaign(plan, Mode::Snapshot, 2);
-    expect_identical(pooled, warm, scenario + " pooled vs snapshot");
+    const TestPlan other = snapshot_plan(
+        scenario == "osek-cell" ? "freertos-steady" : "osek-cell", "bananapi");
+    const CampaignCapture fresh = oracle_campaign(plan);
+    expect_identical(fresh, oracle::reset_per_run_campaign(plan, other),
+                     scenario + " reset per run");
+    for (const unsigned threads : {1u, 4u, 8u}) {
+      expect_identical(fresh, executor_campaign(plan, threads),
+                       scenario + " restored, " + std::to_string(threads) +
+                           " threads");
+    }
   }
 }
 
@@ -140,7 +87,7 @@ TEST(SnapshotEquivalence, SteadyScenariosActuallyRestore) {
   const TestbedPool::Stats before = TestbedPool::instance().stats();
   TestPlan plan = snapshot_plan("freertos-steady", "bananapi");
   plan.runs = 6;
-  (void)run_campaign(plan, Mode::Snapshot, 1);
+  (void)executor_campaign(plan, 1);
   const TestbedPool::Stats after = TestbedPool::instance().stats();
   EXPECT_GE(after.captures, before.captures + 1);
   EXPECT_GE(after.run_restores, before.run_restores + plan.runs - 1);
@@ -153,7 +100,7 @@ TEST(SnapshotEquivalence, InjectDuringBootNeverRestores) {
   // injected boot *is* the experiment. Every run must be a full reset.
   const TestbedPool::Stats before = TestbedPool::instance().stats();
   const TestPlan plan = snapshot_plan("inject-during-boot", "bananapi");
-  (void)run_campaign(plan, Mode::Snapshot, 1);
+  (void)executor_campaign(plan, 1);
   const TestbedPool::Stats after = TestbedPool::instance().stats();
   EXPECT_EQ(after.run_restores, before.run_restores);
   EXPECT_GE(after.run_resets, before.run_resets + plan.runs);
@@ -163,15 +110,15 @@ TEST(SnapshotEquivalence, SnapshotCampaignsExerciseFailingRuns) {
   // The identity is only meaningful if the plans actually reach the
   // failure states whose residue a bad restore would leak.
   const TestPlan plan = snapshot_plan("freertos-steady", "bananapi");
-  const CampaignCapture warm = run_campaign(plan, Mode::Snapshot, 1);
+  const CampaignCapture warm = executor_campaign(plan, 1);
   const OutcomeDistribution dist = warm.result.distribution();
   EXPECT_GT(dist.total() - dist.count(Outcome::Correct), 0u)
       << "plan produced no failures; tighten rate/phase";
 }
 
 TEST(SnapshotEquivalence, DomainFaultCampaignsRestoreIdentically) {
-  // The unified injection layer: every non-register fault domain, fresh
-  // build-per-run baseline vs snapshot restore at {1, 4, 8} threads. A
+  // The unified injection layer: every non-register fault domain, the
+  // execute_one() oracle vs snapshot restore at {1, 4, 8} threads. A
   // restore that leaked injected GIC/device/DRAM state into the next run
   // breaks the bit-identity here.
   for (const auto domain : {FaultDomain::Gic, FaultDomain::IrqDelivery,
@@ -179,9 +126,9 @@ TEST(SnapshotEquivalence, DomainFaultCampaignsRestoreIdentically) {
     TestPlan plan = snapshot_plan("freertos-steady", "bananapi");
     plan.fault_domain = domain;
     const std::string label(fault_domain_name(domain));
-    const CampaignCapture fresh = run_campaign(plan, Mode::Fresh, 1);
+    const CampaignCapture fresh = oracle_campaign(plan);
     for (const unsigned threads : {1u, 4u, 8u}) {
-      const CampaignCapture warm = run_campaign(plan, Mode::Snapshot, threads);
+      const CampaignCapture warm = executor_campaign(plan, threads);
       expect_identical(fresh, warm,
                        label + " domain, " + std::to_string(threads) +
                            " threads");
@@ -197,15 +144,15 @@ TEST(SnapshotEquivalence, DomainTuningSelectsTheDomainThroughTheExecutor) {
   direct.fault_domain = FaultDomain::Gic;
   TestPlan tuned = snapshot_plan("freertos-steady", "bananapi");
   tuned.cell_tuning = "fault domain gic";
-  const CampaignCapture a = run_campaign(direct, Mode::Fresh, 1);
-  const CampaignCapture b = run_campaign(tuned, Mode::Fresh, 1);
+  const CampaignCapture a = oracle_campaign(direct);
+  const CampaignCapture b = oracle_campaign(tuned);
   EXPECT_EQ(a.log_text, b.log_text);
   EXPECT_NE(a.log_text.find("domain=gic"), std::string::npos);
 
   // An unknown domain name in the tuning is a HarnessError, not UB.
   TestPlan bad = snapshot_plan("freertos-steady", "bananapi");
   bad.cell_tuning = "fault domain warp-core";
-  const CampaignCapture broken = run_campaign(bad, Mode::Fresh, 1);
+  const CampaignCapture broken = oracle_campaign(bad);
   EXPECT_EQ(broken.result.distribution().count(Outcome::HarnessError),
             broken.result.runs.size());
 }
@@ -247,7 +194,7 @@ TEST(SnapshotEquivalence, DramFaultsNeverSurviveRestore) {
   }
 }
 
-// --- sweep resume byte-identity with snapshots on and off -------------------
+// --- sweep resume byte-identity against the oracle ---------------------------
 
 std::string render_sweep_report(const SweepResult& sweep) {
   std::vector<analysis::ComparisonColumn> columns;
@@ -275,8 +222,6 @@ TEST(SnapshotEquivalence, SweepResumeStaysByteIdenticalWithSnapshots) {
 
   ExecutorConfig warm;
   warm.threads = 2;
-  warm.reuse_testbeds = true;
-  warm.use_snapshots = true;
 
   SweepDriver driver(small_sweep(dir.string()), warm);
   auto first = driver.execute();
@@ -308,14 +253,12 @@ TEST(SnapshotEquivalence, SweepResumeStaysByteIdenticalWithSnapshots) {
   EXPECT_EQ(resumed.value().executed, 2u);
   EXPECT_EQ(render_sweep_report(resumed.value()), warm_report);
 
-  // The same sweep with snapshots off agrees byte for byte.
-  const std::filesystem::path nosnap_dir = dir / "nosnap";
-  ExecutorConfig nosnap = warm;
-  nosnap.use_snapshots = false;
-  SweepDriver nosnap_driver(small_sweep(nosnap_dir.string()), nosnap);
-  auto plain = nosnap_driver.execute();
-  ASSERT_TRUE(plain.is_ok()) << plain.status().to_string();
-  EXPECT_EQ(render_sweep_report(plain.value()), warm_report);
+  // The execute_one() oracle over the same cells agrees byte for byte.
+  SweepResult oracle_sweep = first.value();
+  for (SweepCellResult& cell : oracle_sweep.cells) {
+    cell.aggregate = oracle_campaign(cell.plan).aggregate;
+  }
+  EXPECT_EQ(render_sweep_report(oracle_sweep), warm_report);
 
   std::filesystem::remove_all(dir);
 }

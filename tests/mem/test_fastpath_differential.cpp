@@ -270,7 +270,7 @@ TEST(FastPathDifferential, PhysicalMemoryMatchesByteReference) {
       expect_same_contents(dut, ref, op);
     }
     if (op == 17'000) {
-      dut.reset_contents();
+      dut.restore_from(PhysicalMemory::Snapshot{});
       ref.reset_contents();
       expect_same_contents(dut, ref, op);
     }

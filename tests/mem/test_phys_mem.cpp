@@ -111,7 +111,7 @@ TEST(PhysicalMemory, ResetContentsClearsDirtySetButKeepsResidency) {
   PhysicalMemory dram;
   (void)dram.fill(kDramBase, 2 * kPageSize, 0x77);
   ASSERT_EQ(dram.dirty_pages(), 2u);
-  dram.reset_contents();
+  dram.restore_from(PhysicalMemory::Snapshot{});  // the power-on image
   EXPECT_EQ(dram.dirty_pages(), 0u);
   EXPECT_EQ(dram.resident_pages(), 2u);
   EXPECT_EQ(dram.read_u8(kDramBase).value(), 0u);

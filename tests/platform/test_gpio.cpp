@@ -57,12 +57,19 @@ TEST(Gpio, InvalidOffsetsRejected) {
   EXPECT_FALSE(gpio.mmio_write(0x40, 1).is_ok());
 }
 
-TEST(Gpio, ResetKeepsToggleCounter) {
+TEST(Gpio, RestoreRewindsLinesAndToggleCounter) {
   Gpio gpio("gpio", kGpioBase);
+  Gpio::Snapshot power_on;
+  gpio.snapshot_to(power_on);
   gpio.set_line(kGreenLedLine, true);
-  gpio.reset();
+  Gpio::Snapshot lit;
+  gpio.snapshot_to(lit);
+  gpio.restore_from(power_on);
   EXPECT_FALSE(gpio.led_on());
-  EXPECT_EQ(gpio.led_toggles(), 1u);  // experiment counter survives reset
+  EXPECT_EQ(gpio.led_toggles(), 0u);  // the power-on baseline
+  gpio.restore_from(lit);
+  EXPECT_TRUE(gpio.led_on());
+  EXPECT_EQ(gpio.led_toggles(), 1u);  // the counter is part of the image
 }
 
 }  // namespace

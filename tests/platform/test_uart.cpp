@@ -73,11 +73,18 @@ TEST(Uart, InvalidOffsetsRejected) {
 
 TEST(Uart, ResetPreservesCaptureDropsRx) {
   Uart uart("uart0", kUart0Base, nullptr, 0);
+  Uart::Snapshot power_on;
+  uart.snapshot_to(power_on);
   (void)uart.mmio_write(kUartThr, 'x');
+  Uart::Snapshot logged;
+  uart.snapshot_to(logged);
   uart.feed_rx("pending");
-  uart.reset();
-  EXPECT_EQ(uart.captured(), "x");  // the experiment log survives
+  uart.restore_from(logged);
+  EXPECT_EQ(uart.captured(), "x");  // the captured log prefix survives
   EXPECT_FALSE(uart.mmio_read(kUartLsr).value() & kLsrDataReady);
+  // The power-on image truncates the log to empty.
+  uart.restore_from(power_on);
+  EXPECT_TRUE(uart.captured().empty());
 }
 
 TEST(Uart, ClearCaptureEmptiesLog) {
