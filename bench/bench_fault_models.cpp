@@ -15,7 +15,7 @@
 #include <iostream>
 #include <string>
 
-#include "core/campaign.hpp"
+#include "core/executor.hpp"
 
 namespace {
 
@@ -32,8 +32,7 @@ int run_json(std::uint32_t runs) {
     plan.fault_domain = domain;
     plan.runs = runs;
     plan.seed = 0xA4'40 + d;
-    fi::Campaign campaign(plan);
-    campaign.set_probe_recovery(false);
+    fi::CampaignExecutor campaign(plan, {1});
     const auto start = std::chrono::steady_clock::now();
     const fi::CampaignResult result = campaign.execute();
     const double seconds =
@@ -85,8 +84,7 @@ int main(int argc, char** argv) {
     plan.fault = kind;
     plan.runs = runs;
     plan.seed = 0xA4'00 + static_cast<std::uint64_t>(kind);
-    fi::Campaign campaign(plan);
-    campaign.set_probe_recovery(false);
+    fi::CampaignExecutor campaign(plan, {1});
     const fi::CampaignResult result = campaign.execute();
     const fi::OutcomeDistribution dist = result.distribution();
     std::cout << std::left << std::setw(22) << fi::fault_model_kind_name(kind)

@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     sweep.phase = phase;
     sweep.runs = 5;
     sweep.duration_ticks = 2'000;
-    const fi::CampaignResult r = fi::Campaign(sweep).execute();
+    const fi::CampaignResult r = fi::CampaignExecutor(sweep, {1}).execute();
     const fi::OutcomeDistribution d = r.distribution();
     fi::Outcome dominant = fi::Outcome::Correct;
     std::uint64_t best = 0;

@@ -12,7 +12,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "core/campaign.hpp"
+#include "core/executor.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcs;
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
        {fi::paper_high_root_hvc_plan(), fi::paper_high_root_trap_plan()}) {
     plan.runs = runs;
     plan.duration_ticks = 2'000;  // the management window is the experiment
-    fi::Campaign campaign(plan);
+    fi::CampaignExecutor campaign(plan, {1});
     const fi::CampaignResult result = campaign.execute();
     const fi::OutcomeDistribution dist = result.distribution();
 

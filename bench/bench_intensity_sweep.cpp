@@ -12,7 +12,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "core/campaign.hpp"
+#include "core/executor.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcs;
@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
     plan.fault_count = k;
     plan.runs = runs;
     plan.seed = 0xA3'00 + k;
-    fi::Campaign campaign(plan);
-    campaign.set_probe_recovery(false);
+    fi::CampaignExecutor campaign(plan, {1});
     const fi::CampaignResult result = campaign.execute();
     const fi::OutcomeDistribution dist = result.distribution();
     const double other =

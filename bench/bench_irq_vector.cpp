@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "analysis/report.hpp"
-#include "core/campaign.hpp"
+#include "core/executor.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcs;
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   fi::TestPlan plan = fi::irq_vector_plan();
   plan.runs = runs;
   plan.duration_ticks = 10'000;
-  fi::Campaign campaign(plan);
+  fi::CampaignExecutor campaign(plan, {1});
   const fi::CampaignResult result = campaign.execute();
   const fi::OutcomeDistribution dist = result.distribution();
 

@@ -231,7 +231,7 @@ void BM_FullMediumRun(benchmark::State& state) {
   plan.runs = 1;
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    fi::Campaign campaign(plan);
+    fi::CampaignExecutor campaign(plan, {1});
     benchmark::DoNotOptimize(campaign.execute_one(seed++));
   }
 }
@@ -323,7 +323,8 @@ constexpr std::uint64_t kWindowHeavyTicks = 500;
 enum class ProvisionMode { Fresh, Pooled, Snapshot };
 
 /// One Pooled-tier run: power-on reset, setup and boot on the leased
-/// testbed, then the injected window and classification.
+/// testbed, then the injected window, classification and (on failure)
+/// the shutdown probe.
 void run_reset_and_boot(const fi::Scenario& scenario, const fi::TestPlan& plan,
                         std::uint64_t seed, fi::Testbed& testbed) {
   testbed.reset();
@@ -336,7 +337,13 @@ void run_reset_and_boot(const fi::Scenario& scenario, const fi::TestPlan& plan,
   scenario.observe(testbed, plan);
   injector.set_armed(false);
   scenario.epilogue(testbed);
-  benchmark::DoNotOptimize(monitor.finish(testbed));
+  const fi::RunResult result = monitor.finish(testbed);
+  // Failed runs get the shutdown probe, as in the executor's tiers.
+  if (result.outcome != fi::Outcome::Correct &&
+      result.outcome != fi::Outcome::HarnessError) {
+    benchmark::DoNotOptimize(fi::probe_shutdown_reclaims(testbed));
+  }
+  benchmark::DoNotOptimize(result);
   injector.detach(testbed.hypervisor());
 }
 
@@ -344,7 +351,6 @@ void run_reset_and_boot(const fi::Scenario& scenario, const fi::TestPlan& plan,
 void run_campaign(const fi::TestPlan& plan, unsigned threads, ProvisionMode mode) {
   fi::ExecutorConfig config;
   config.threads = threads;
-  config.probe_recovery = false;
   fi::CampaignExecutor executor(plan, config);
   if (mode == ProvisionMode::Snapshot) {
     benchmark::DoNotOptimize(executor.execute());
@@ -356,26 +362,22 @@ void run_campaign(const fi::TestPlan& plan, unsigned threads, ProvisionMode mode
   const fi::Scenario& scenario = *fi::find_scenario(plan.scenario);
   const auto entry = platform::BoardRegistry::instance().entry(plan.board);
   std::atomic<std::uint32_t> next{0};
-  util::ThreadPool pool(threads);
-  for (unsigned w = 0; w < pool.size(); ++w) {
-    pool.submit([&] {
-      fi::TestbedLease lease;
-      for (;;) {
-        const std::uint32_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= plan.runs) return;
-        if (mode == ProvisionMode::Fresh) {
-          benchmark::DoNotOptimize(executor.execute_one(seeds[i]));
-          continue;
-        }
-        if (!lease) {
-          lease = fi::TestbedPool::instance().acquire(
-              plan.board, plan.cell_tuning, *entry, "bench-pooled");
-        }
-        run_reset_and_boot(scenario, plan, seeds[i], *lease.get());
+  util::fan_out(threads, plan.runs, [&] {
+    fi::TestbedLease lease;
+    for (;;) {
+      const std::uint32_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= plan.runs) return;
+      if (mode == ProvisionMode::Fresh) {
+        benchmark::DoNotOptimize(executor.execute_one(seeds[i]));
+        continue;
       }
-    });
-  }
-  pool.wait_idle();
+      if (!lease) {
+        lease = fi::TestbedPool::instance().acquire(
+            plan.board, plan.cell_tuning, *entry, "bench-pooled");
+      }
+      run_reset_and_boot(scenario, plan, seeds[i], *lease.get());
+    }
+  });
 }
 
 void run_executor_campaigns(benchmark::State& state, ProvisionMode mode) {

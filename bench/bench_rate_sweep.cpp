@@ -10,7 +10,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "core/campaign.hpp"
+#include "core/executor.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcs;
@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
     plan.rate = rate;
     plan.runs = runs;
     plan.seed = 0xA1 + rate;
-    fi::Campaign campaign(plan);
-    campaign.set_probe_recovery(false);
+    fi::CampaignExecutor campaign(plan, {1});
     const fi::CampaignResult result = campaign.execute();
     const fi::OutcomeDistribution dist = result.distribution();
     std::cout << std::left << "1/" << std::setw(10) << rate << std::right

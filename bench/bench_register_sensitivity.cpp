@@ -11,7 +11,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "core/campaign.hpp"
+#include "core/executor.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcs;
@@ -34,8 +34,7 @@ int main(int argc, char** argv) {
     plan.phase = 1;
     plan.duration_ticks = 20'000;
     plan.seed = 0xA2'00 + i;
-    fi::Campaign campaign(plan);
-    campaign.set_probe_recovery(false);
+    fi::CampaignExecutor campaign(plan, {1});
     const fi::CampaignResult result = campaign.execute();
     const fi::OutcomeDistribution dist = result.distribution();
 

@@ -116,7 +116,7 @@ double time_distributed(unsigned workers, std::uint64_t expected_runs) {
   // Fresh provisioning (no testbed reuse): every run pays the full
   // boot, which is exactly the per-cell cost process fan-out divides.
   const auto begin = std::chrono::steady_clock::now();
-  auto result = fi::run_distributed_sweep(spec, {1, false}, options);
+  auto result = fi::run_distributed_sweep(spec, {1}, options);
   const auto end = std::chrono::steady_clock::now();
   std::filesystem::remove_all(dir);
   if (!result.is_ok() ||

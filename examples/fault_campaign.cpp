@@ -7,14 +7,17 @@
 //   $ ./fault_campaign --list           # show registered scenarios
 //
 // [tuning] parameterises the workload cell in the config-text vocabulary,
-// ';'-separated, e.g. "ram 0x200000; console trapped".
+// ';'-separated, e.g. "ram 0x200000; console trapped". Numbers are decimal
+// or 0x...; a malformed number, rate 0 or a runs/rate/threads value above
+// 2^32-1 exits 1 with a diagnostic.
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <string>
 
 #include "analysis/report.hpp"
 #include "core/executor.hpp"
+#include "hypervisor/config_text.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcs;
@@ -43,16 +46,29 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // The config-text number parser `sweep` uses. runs, rate and threads are
+  // 32-bit fields (never silently truncated); rate 0 has no cadence.
+  const char* const kArgNames[] = {"runs", "rate", "seed", "threads"};
+  std::uint64_t args[] = {40, fi::kMediumRate, 0xC0FFEE, 0};
+  for (int k = 0; k < 4 && k + 2 < argc; ++k) {
+    auto value = jh::parse_config_number(argv[k + 2]);
+    const std::uint64_t max = k == 2 ? UINT64_MAX : UINT32_MAX;
+    if (!value.is_ok() || value.value() > max || (k == 1 && value.value() == 0)) {
+      std::cerr << "fault_campaign: bad " << kArgNames[k] << " '" << argv[k + 2]
+                << "'\n";
+      return 1;
+    }
+    args[k] = value.value();
+  }
+
   fi::TestPlan plan = made.value();
-  plan.runs = argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 40;
-  plan.rate = argc > 3 ? static_cast<std::uint32_t>(std::atoi(argv[3]))
-                       : fi::kMediumRate;
-  // strtoull base 0: accepts both decimal and the documented 0x... form.
-  plan.seed = argc > 4 ? std::strtoull(argv[4], nullptr, 0) : 0xC0FFEEULL;
+  plan.runs = static_cast<std::uint32_t>(args[0]);
+  plan.rate = static_cast<std::uint32_t>(args[1]);
+  plan.seed = args[2];
   // Paper-faithful 1-minute tests (60'000 board ticks).
 
   fi::ExecutorConfig config;
-  config.threads = argc > 5 ? static_cast<unsigned>(std::atoi(argv[5])) : 0;
+  config.threads = static_cast<unsigned>(args[3]);
 
   std::cout << "campaign: " << plan.name << " — scenario " << plan.scenario
             << ", " << plan.runs << " runs, inject 1/" << plan.rate

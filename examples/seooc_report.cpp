@@ -8,7 +8,7 @@
 
 #include "analysis/report.hpp"
 #include "analysis/seooc.hpp"
-#include "core/campaign.hpp"
+#include "core/executor.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcs;
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     plan.duration_ticks = ticks;
     std::cout << "running campaign '" << plan.name << "' (" << runs
               << " runs)...\n";
-    fi::Campaign campaign(plan);
+    fi::CampaignExecutor campaign(plan, {1});
     return campaign.execute();
   };
 

@@ -24,6 +24,7 @@
 // report can be redirected and diffed.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -58,9 +59,8 @@ void usage(std::ostream& out) {
          "  --duration T          observation window ticks (default: plan's)\n"
          "  --tuning TEXT         cell tuning, ';'-separated lines\n"
          "  --logdir DIR          persist per-cell run logs; enables resume\n"
-         "  --threads N           executor threads per cell (default: auto)\n"
-         "  --no-parallel-resume  rebuild completed cells from their logs\n"
-         "                        one by one instead of on a thread pool\n"
+         "  --threads N           executor threads per cell, and resume scan\n"
+         "                        width (default: auto)\n"
          "distributed execution (multi-process cell leasing over --logdir):\n"
          "  --workers N           fork N worker processes over the logdir,\n"
          "                        wait, and render the merged report\n"
@@ -379,11 +379,13 @@ int main(int argc, char** argv) {
 
   // Exit codes: 0 swept, 1 bad spec/flags, 2 unreadable spec input.
   // Strict numerics: the same vocabulary as the spec file, so "8q" is
-  // rejected here exactly like it would be on a `runs 8q` line.
+  // rejected here exactly like it would be on a `runs 8q` line, and a
+  // 32-bit field never silently truncates a larger value.
   const auto parse_number = [](const char* flag_name, const char* token,
-                               std::uint64_t& out) {
+                               std::uint64_t& out,
+                               std::uint64_t max = UINT64_MAX) {
     auto value = mcs::jh::parse_config_number(token);
-    if (!value.is_ok()) {
+    if (!value.is_ok() || value.value() > max) {
       std::cerr << "sweep: bad " << flag_name << " '" << token << "'\n";
       return false;
     }
@@ -449,7 +451,9 @@ int main(int argc, char** argv) {
     } else if (flag == "--rates" && (arg = value()) != nullptr) {
       spec.rates.clear();
       for (const std::string& token : split_csv(arg)) {
-        if (!parse_number("rate", token.c_str(), number)) return 1;
+        if (!parse_number("rate", token.c_str(), number, UINT32_MAX)) {
+          return 1;
+        }
         if (number == 0) {
           std::cerr << "sweep: bad rate '" << token << "' (need ≥ 1)\n";
           return 1;
@@ -461,7 +465,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--domains" && (arg = value()) != nullptr) {
       spec.domains = split_csv(arg);
     } else if (flag == "--runs" && (arg = value()) != nullptr) {
-      if (!parse_number("runs", arg, number)) return 1;
+      if (!parse_number("runs", arg, number, UINT32_MAX)) return 1;
       spec.runs = static_cast<std::uint32_t>(number);
     } else if (flag == "--seed" && (arg = value()) != nullptr) {
       if (!parse_number("seed", arg, number)) return 1;
@@ -476,12 +480,10 @@ int main(int argc, char** argv) {
     } else if (flag == "--logdir" && (arg = value()) != nullptr) {
       spec.log_dir = arg;
     } else if (flag == "--threads" && (arg = value()) != nullptr) {
-      if (!parse_number("threads", arg, number)) return 1;
+      if (!parse_number("threads", arg, number, UINT32_MAX)) return 1;
       config.threads = static_cast<unsigned>(number);
-    } else if (flag == "--no-parallel-resume") {
-      config.parallel_resume = false;
     } else if (flag == "--workers" && (arg = value()) != nullptr) {
-      if (!parse_number("workers", arg, number) || number == 0) {
+      if (!parse_number("workers", arg, number, UINT32_MAX) || number == 0) {
         std::cerr << "sweep: --workers needs a count ≥ 1\n";
         return 1;
       }

@@ -2,8 +2,6 @@
 
 #include <charconv>
 
-#include "core/executor.hpp"
-
 namespace mcs::fi {
 
 OutcomeDistribution CampaignResult::distribution() const {
@@ -28,17 +26,6 @@ std::uint64_t CampaignResult::total_injections() const {
   std::uint64_t total = 0;
   for (const RunResult& run : runs) total += run.injections;
   return total;
-}
-
-RunResult Campaign::execute_one(std::uint64_t run_seed) {
-  CampaignExecutor executor(plan_, {/*threads=*/1, probe_recovery_});
-  return executor.execute_one(run_seed);
-}
-
-CampaignResult Campaign::execute() {
-  CampaignExecutor executor(plan_, {/*threads=*/1, probe_recovery_});
-  executor.set_progress(progress_);
-  return executor.execute();
 }
 
 namespace {

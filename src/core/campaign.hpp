@@ -1,12 +1,14 @@
-// Campaign orchestration: the outer loop of Figure 2.
+// Campaign results: what the outer loop of Figure 2 produces.
 //
-// test plan → (fresh testbed per run) fault-injection test → log file →
-// analytics. Each run gets an independent RNG stream derived from the
-// plan seed, so any single run — and the whole figure — replays exactly.
+// test plan → fault-injection test per run → log file → analytics. The
+// loop itself is fi::CampaignExecutor (core/executor.hpp); this header
+// holds its result and the run-log line rendering the log file and the
+// analytics share. Each run gets an independent RNG stream derived from
+// the plan seed, so any single run — and the whole figure — replays
+// exactly.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,35 +30,6 @@ struct CampaignResult {
 
   /// Total injections across all runs.
   [[nodiscard]] std::uint64_t total_injections() const;
-};
-
-/// Serial campaign driver: a thin wrapper over CampaignExecutor with one
-/// worker thread. Kept as the stable entry point for replaying paper
-/// figures; for sharded execution use CampaignExecutor directly.
-class Campaign {
- public:
-  explicit Campaign(TestPlan plan) : plan_(std::move(plan)) {}
-
-  /// Optional per-run progress callback (run index, result).
-  using ProgressFn = std::function<void(std::uint32_t, const RunResult&)>;
-  void set_progress(ProgressFn fn) { progress_ = std::move(fn); }
-
-  /// When true (default), after each failed run the campaign issues the
-  /// paper's post-mortem `jailhouse cell shutdown` probe and records
-  /// whether the CPU was reclaimed.
-  void set_probe_recovery(bool probe) noexcept { probe_recovery_ = probe; }
-
-  /// Execute all runs. Deterministic in (plan.seed, plan).
-  [[nodiscard]] CampaignResult execute();
-
-  /// Execute a single run with an explicit seed (exposed for tests and
-  /// for replaying one run out of a campaign).
-  [[nodiscard]] RunResult execute_one(std::uint64_t run_seed);
-
- private:
-  TestPlan plan_;
-  ProgressFn progress_;
-  bool probe_recovery_ = true;
 };
 
 /// Render one run's key facts as a log line (the campaign log file body).

@@ -52,9 +52,7 @@ CampaignExecutor::CampaignExecutor(TestPlan plan, ExecutorConfig config)
   board_name_ = !tuning_.board.empty() ? tuning_.board : plan_.board;
   board_ = platform::BoardRegistry::instance().entry(board_name_);
   // Snapshot identity ('\x1f' separators match the pool's key encoding).
-  const char* policy_tag =
-      config_.tick_policy == jh::TickPolicy::PerTick ? "pertick" : "event";
-  pool_extra_key_ = plan_.scenario + '\x1f' + policy_tag;
+  pool_extra_key_ = plan_.scenario;
   snapshot_key_ =
       board_name_ + '\x1f' + plan_.cell_tuning + '\x1f' + pool_extra_key_;
 }
@@ -69,6 +67,10 @@ std::optional<RunResult> CampaignExecutor::campaign_error(
   }
   if (board_ == nullptr) {
     return harness_error("unknown board '" + board_name_ + "'");
+  }
+  if (plan_.rate == 0) {
+    // The injector fires on every rate-th hook call; 0 has no cadence.
+    return harness_error("bad injection rate 0 (need a call count ≥ 1)");
   }
   return std::nullopt;
 }
@@ -92,11 +94,11 @@ RunResult CampaignExecutor::run_with(const Scenario& scenario,
                         testbed.has_snapshot(snapshot_key_) &&
                         testbed.restore_snapshot();
   if (!restored) {
-    // Restored state already carries policy, tuning and the booted cells
-    // (the snapshot key guarantees they match); only the reset path
-    // configures and boots.
+    // Restored state already carries tuning and the booted cells (the
+    // snapshot key guarantees they match); only the reset path configures
+    // and boots. reset() restores the power-on image, event-driven tick
+    // policy included.
     testbed.reset();
-    testbed.set_tick_policy(config_.tick_policy);
     if (!tuning_.empty()) testbed.set_cell_tuning(tuning_);
     // An unbootable testbed is a harness bug, not an experiment outcome.
     const util::Status ready = scenario.setup(testbed);
@@ -148,7 +150,7 @@ RunResult CampaignExecutor::run_with(const Scenario& scenario,
     result.flipped_bits += record.flips.size();
   }
 
-  if (config_.probe_recovery && result.outcome != Outcome::Correct &&
+  if (result.outcome != Outcome::Correct &&
       result.outcome != Outcome::HarnessError) {
     result.shutdown_reclaimed = probe_shutdown_reclaims(testbed);
   }
@@ -185,45 +187,27 @@ CampaignResult CampaignExecutor::execute() {
     return result;
   }
 
-  const unsigned threads =
-      config_.threads == 0 ? util::ThreadPool::default_threads() : config_.threads;
-  if (threads <= 1 || plan_.runs <= 1) {
-    // Serial path: run in the caller's thread, progress in run order. One
-    // pooled slot serves every run of the shard.
-    if (plan_.runs == 0) return result;
-    const TestbedLease lease = lease_slot();
-    for (std::uint32_t i = 0; i < plan_.runs; ++i) {
-      result.runs[i] = run_with(*scenario, seeds[i], *lease.get());
-      if (progress_) progress_(i, result.runs[i]);
-    }
-    return result;
-  }
-
+  // One worker-loop body at every width: inline on this thread at width 1
+  // (progress then arrives in run order), on a util::ThreadPool otherwise.
   std::atomic<std::uint32_t> next{0};
   std::mutex progress_mutex;
-  util::ThreadPool pool(threads);
-  // One self-scheduling job per pool worker (the pool clamps oversized
-  // requests, so ask it — not the raw config — how wide it really is).
-  for (unsigned w = 0; w < pool.size(); ++w) {
-    pool.submit([&] {
-      // Each worker checks out one long-lived slot for its whole shard;
-      // the steady-state per-run path is restore + run, no locks. The
-      // lease is taken lazily on the first claimed run, so a campaign
-      // with fewer runs than workers never provisions surplus testbeds.
-      TestbedLease lease;
-      for (;;) {
-        const std::uint32_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= plan_.runs) return;
-        if (!lease) lease = lease_slot();
-        result.runs[i] = run_with(*scenario, seeds[i], *lease.get());
-        if (progress_) {
-          const std::lock_guard<std::mutex> lock(progress_mutex);
-          progress_(i, result.runs[i]);
-        }
+  util::fan_out(config_.threads, plan_.runs, [&] {
+    // Each worker checks out one long-lived slot for its whole shard; the
+    // steady-state per-run path is restore + run, no locks. The lease is
+    // taken lazily on the first claimed run, so a campaign with fewer runs
+    // than workers never provisions surplus testbeds.
+    TestbedLease lease;
+    for (;;) {
+      const std::uint32_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= plan_.runs) return;
+      if (!lease) lease = lease_slot();
+      result.runs[i] = run_with(*scenario, seeds[i], *lease.get());
+      if (progress_) {
+        const std::lock_guard<std::mutex> lock(progress_mutex);
+        progress_(i, result.runs[i]);
       }
-    });
-  }
-  pool.wait_idle();
+    }
+  });
   return result;
 }
 

@@ -1,6 +1,9 @@
-// Campaign execution engine: shards a test plan's runs across worker
-// threads, each run on a private Testbed, with results written into
-// pre-assigned slots.
+// Campaign execution engine — the one way to run the outer loop of
+// Figure 2: shards a test plan's runs across worker threads (inline on
+// the caller's thread at width 1), each run on a private Testbed, with
+// results written into pre-assigned slots. ExecutorConfig holds only the
+// thread count; reference behaviours (per-tick stepping, fresh testbeds)
+// live in the tests and benches, not here.
 //
 // Determinism contract: a campaign's CampaignResult is bit-identical for
 // any thread count. Every run's seed comes from one serial SplitMix64
@@ -17,9 +20,13 @@
 // snapshot if the scenario is eligible (boot once, inject many).
 // Scenarios that inject *during* boot are ineligible and reset + boot
 // every run. The board name and registry entry are resolved once at
-// construction, never in the per-run loop. The reference ("oracle") for
-// all of this is execute_one(): the same run on a freshly built testbed.
-// The reuse- and snapshot-equivalence suites pin executor ≡ oracle.
+// construction, never in the per-run loop. Every run is event-driven (the
+// power-on image's tick policy), and every failed run gets the paper's
+// post-mortem `jailhouse cell shutdown` probe. The reference ("oracle")
+// for all of this is execute_one(): the same run on a freshly built
+// testbed. The reuse- and snapshot-equivalence suites pin executor ≡
+// oracle; the tick-equivalence suite pins it against a per-tick
+// reference campaign built from public Testbed calls.
 #pragma once
 
 #include <cstdint>
@@ -38,25 +45,9 @@ namespace mcs::fi {
 struct ExecutorConfig {
   /// Worker threads; 0 → util::ThreadPool::default_threads() (the
   /// MCS_CAMPAIGN_THREADS environment variable, else hw_concurrency).
+  /// A campaign never runs wider than its run count, and at width 1 it
+  /// runs on the caller's thread.
   unsigned threads = 0;
-
-  /// Issue the paper's post-mortem `jailhouse cell shutdown` probe after
-  /// failed runs (Campaign::set_probe_recovery's knob).
-  bool probe_recovery = true;
-
-  /// Per-run time-advance policy. EventDriven (default) leaps inert
-  /// spans between deadlines; PerTick forces the legacy polling loop.
-  /// Results are bit-identical either way (the tick-equivalence suite
-  /// asserts it); PerTick exists for those golden comparisons.
-  jh::TickPolicy tick_policy = jh::TickPolicy::EventDriven;
-
-  /// Rebuild completed sweep cells from their persisted logs in parallel
-  /// (one zero-copy scan per cell on a util::ThreadPool) instead of one
-  /// by one. Pure-read phase; the aggregates still fold serially in grid
-  /// order, so sweep reports are byte-identical either way (the resume
-  /// suite asserts it) — false exists for that comparison and for the
-  /// cold-resume benchmark baseline.
-  bool parallel_resume = true;
 };
 
 class CampaignExecutor {
@@ -69,10 +60,11 @@ class CampaignExecutor {
   /// runs, exactly as the per-run lookup did.
   explicit CampaignExecutor(TestPlan plan, ExecutorConfig config = {});
 
-  /// Per-run completion callback, fired as runs finish. With more than one
-  /// worker the completion order is nondeterministic — the index argument,
-  /// not the call order, identifies the run. Called under an internal
-  /// mutex: callbacks never race each other.
+  /// Per-run completion callback, fired as runs finish. At width 1 it runs
+  /// on the caller's thread in run order; with more than one worker the
+  /// completion order is nondeterministic — the index argument, not the
+  /// call order, identifies the run. Called under an internal mutex:
+  /// callbacks never race each other.
   using ProgressFn = std::function<void(std::uint32_t, const RunResult&)>;
   void set_progress(ProgressFn fn) { progress_ = std::move(fn); }
 
@@ -96,8 +88,8 @@ class CampaignExecutor {
 
  private:
   /// The HarnessError every run of this campaign reports (unknown
-  /// scenario/board, malformed tuning), or nullopt when runs can execute.
-  /// Error campaigns never provision hardware.
+  /// scenario/board, malformed tuning, rate 0), or nullopt when runs can
+  /// execute. Error campaigns never provision hardware.
   [[nodiscard]] std::optional<RunResult> campaign_error(
       const Scenario* scenario) const;
 
@@ -108,9 +100,8 @@ class CampaignExecutor {
                                    std::uint64_t run_seed,
                                    Testbed& testbed) const;
 
-  /// A pool lease keyed by (board, tuning, scenario, tick policy), so a
-  /// parked slot's held snapshot matches the next campaign that checks
-  /// it out.
+  /// A pool lease keyed by (board, tuning, scenario), so a parked slot's
+  /// held snapshot matches the next campaign that checks it out.
   [[nodiscard]] TestbedLease lease_slot() const;
 
   TestPlan plan_;
@@ -125,9 +116,9 @@ class CampaignExecutor {
   std::string board_name_;
   std::shared_ptr<const platform::BoardRegistry::Entry> board_;
   /// Snapshot identity, precomputed once: what of the boot-time state the
-  /// plan can influence. setup()/boot() see only (board, tuning, scenario,
-  /// tick policy) — never the injection plan — so runs with equal keys
-  /// boot to bit-identical state. `pool_extra_key_` is the suffix the
+  /// plan can influence. setup()/boot() see only (board, tuning, scenario)
+  /// — never the injection plan — so runs with equal keys boot to
+  /// bit-identical state. `pool_extra_key_` is the suffix the
   /// pool adds to its slot key so parked snapshots match their campaigns.
   std::string snapshot_key_;
   std::string pool_extra_key_;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -299,14 +300,17 @@ util::Expected<SweepSpec> parse_sweep_spec(std::string_view text) {
       for (const std::string& token : util::split(rest, ' ')) {
         if (util::trim(token).empty()) continue;
         auto value = jh::parse_config_number(util::trim(token));
-        if (!value.is_ok() || value.value() == 0) {
+        if (!value.is_ok() || value.value() == 0 ||
+            value.value() > UINT32_MAX) {
           return fail("bad rate '" + token + "' (need a call count ≥ 1)");
         }
         spec.rates.push_back(static_cast<std::uint32_t>(value.value()));
       }
     } else if (keyword == "runs") {
       auto value = jh::parse_config_number(rest);
-      if (!value.is_ok() || value.value() == 0) return fail("bad runs count");
+      if (!value.is_ok() || value.value() == 0 || value.value() > UINT32_MAX) {
+        return fail("bad runs count");
+      }
       spec.runs = static_cast<std::uint32_t>(value.value());
     } else if (keyword == "seed") {
       auto value = jh::parse_config_number(rest);
@@ -420,36 +424,24 @@ util::Expected<SweepResult> SweepDriver::execute() {
 
   // Resume pre-scan. Rebuilding a completed cell from its persisted log
   // is a pure read — mmap + one zero-copy scan, no shared state — so a
-  // cold start over a populated logdir validates cells in parallel. Only
-  // the *scan* is parallel: the fold below stays serial and in grid
-  // order, so the report is byte-identical for any thread count and with
-  // parallel_resume off (the resume suite asserts it).
+  // cold start over a populated logdir validates cells on config.threads
+  // workers (inline at width 1). Only the *scan* fans out: the fold below
+  // stays serial and in grid order, so the report is byte-identical for
+  // any thread count (the resume suite asserts it).
   std::vector<char> resumed(grid.size(), 0);
   std::vector<analysis::CampaignAggregate> recovered(grid.size());
   if (persist) {
-    const auto scan_cell = [&](std::size_t i) {
-      const std::string path = cell_log_path(spec_.log_dir, grid[i].name);
-      if (cell_log_complete(grid[i], path, recovered[i])) {
-        resumed[i] = 1;
-        util::LogPipeCounters::instance().record_resumed_cell();
+    std::atomic<std::size_t> next{0};
+    util::fan_out(config_.threads, grid.size(), [&] {
+      for (std::size_t i = next.fetch_add(1); i < grid.size();
+           i = next.fetch_add(1)) {
+        const std::string path = cell_log_path(spec_.log_dir, grid[i].name);
+        if (cell_log_complete(grid[i], path, recovered[i])) {
+          resumed[i] = 1;
+          util::LogPipeCounters::instance().record_resumed_cell();
+        }
       }
-    };
-    if (config_.parallel_resume && grid.size() > 1) {
-      util::LogPipeCounters::instance().record_parallel_resume();
-      util::ThreadPool pool(config_.threads);
-      std::atomic<std::size_t> next{0};
-      for (unsigned t = 0; t < pool.size(); ++t) {
-        pool.submit([&grid, &next, &scan_cell] {
-          for (std::size_t i = next.fetch_add(1); i < grid.size();
-               i = next.fetch_add(1)) {
-            scan_cell(i);
-          }
-        });
-      }
-      pool.wait_idle();
-    } else {
-      for (std::size_t i = 0; i < grid.size(); ++i) scan_cell(i);
-    }
+    });
   }
 
   SweepResult result;

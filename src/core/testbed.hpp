@@ -57,7 +57,7 @@ struct IvshmemTrafficStats {
 /// A testbed holds two images of it: the power-on image, captured once at
 /// construction and restored by Testbed::reset(), and an optional
 /// post-boot image, captured after a slot's first boot for a given
-/// (scenario, board, tuning, tick-policy) identity key and restored by
+/// (board, tuning, scenario) identity key and restored by
 /// Testbed::restore_snapshot() instead of reset() + re-boot. Page
 /// payloads live in the testbed's run arena *below* `arena_mark`; per-run
 /// scratch is placed above the mark, and restore rewinds to it — so the
@@ -81,7 +81,7 @@ struct TestbedSnapshot {
   IvshmemTrafficStats ivshmem_stats;
 
   util::Arena::Mark arena_mark{};  ///< run-arena fill level owned by the snapshot
-  std::string key;                 ///< identity: scenario\x1fboard\x1ftuning\x1fpolicy
+  std::string key;                 ///< identity: board\x1ftuning\x1fscenario
   std::size_t bytes = 0;           ///< captured DRAM payload bytes (dirty pages)
 
   bool operator==(const TestbedSnapshot&) const = default;
@@ -160,8 +160,10 @@ class Testbed {
   void set_ivshmem(bool enabled) noexcept { ivshmem_ = enabled; }
   [[nodiscard]] bool ivshmem_enabled() const noexcept { return ivshmem_; }
 
-  /// Time-advance policy for the underlying machine; TickPolicy::PerTick
-  /// forces the legacy polling loop (golden-equivalence comparisons).
+  /// Time-advance policy for the underlying machine. The power-on image
+  /// is EventDriven, so reset() restores it; TickPolicy::PerTick forces
+  /// the legacy polling loop for reference runs (the tick-equivalence
+  /// suite, bench_overhead --ticks-json).
   void set_tick_policy(jh::TickPolicy policy) noexcept {
     machine_.set_tick_policy(policy);
   }

@@ -14,10 +14,10 @@
 // allocations (asserted via util::AllocationObserver).
 //
 // Slots are keyed by (board_name, tuning text, extra key); the executor
-// passes the scenario and tick policy as the extra key, so a parked
-// slot's held post-boot snapshot matches the next campaign that checks
-// it out, and its arena stays warm for one shape of campaign instead of
-// ping-ponging page working sets between differently tuned cells.
+// passes the scenario as the extra key, so a parked slot's held
+// post-boot snapshot matches the next campaign that checks it out, and
+// its arena stays warm for one shape of campaign instead of ping-ponging
+// page working sets between differently tuned cells.
 //
 // Memory: idle slots are capped at kMaxIdlePerKey per key (releases
 // beyond the cap destroy the testbed instead of parking it), so a key's
@@ -97,9 +97,9 @@ class TestbedPool {
   /// as-is (possibly dirty); the executor restores a post-boot snapshot
   /// or calls Testbed::reset() before every run, first run included.
   /// `extra_key` extends the slot key (snapshot identity: the executor
-  /// passes scenario + tick policy, so a parked slot's held snapshot
-  /// matches the next campaign that checks it out). Empty (the default)
-  /// keys by (board, tuning) alone.
+  /// passes the scenario, so a parked slot's held snapshot matches the
+  /// next campaign that checks it out). Empty (the default) keys by
+  /// (board, tuning) alone.
   [[nodiscard]] TestbedLease acquire(
       const std::string& board_name, const std::string& tuning_text,
       const platform::BoardRegistry::Entry& entry,

@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace mcs::util {
@@ -64,6 +65,21 @@ void ThreadPool::worker_loop() {
       if (queue_.empty() && active_ == 0) idle_.notify_all();
     }
   }
+}
+
+void fan_out(unsigned threads, std::size_t items,
+             const std::function<void()>& worker) {
+  if (threads == 0) threads = ThreadPool::default_threads();
+  const std::size_t width = std::min<std::size_t>(threads, items);
+  if (width == 0) return;
+  if (width == 1) {
+    worker();
+    return;
+  }
+  // The pool clamps oversized widths; submit one worker per real thread.
+  ThreadPool pool(static_cast<unsigned>(width));
+  for (unsigned w = 0; w < pool.size(); ++w) pool.submit(worker);
+  pool.wait_idle();
 }
 
 }  // namespace mcs::util

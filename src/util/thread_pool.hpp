@@ -59,4 +59,13 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// Run `worker` `width` times and return when every copy has returned,
+/// where width = min(threads, items) and threads 0 means
+/// ThreadPool::default_threads(). Workers claim their own items (typically
+/// from a shared atomic counter), so one loop body serves every width.
+/// Width 1 runs the worker inline on the calling thread — no thread is
+/// spawned; width 0 (no items) runs nothing; wider runs on a ThreadPool.
+void fan_out(unsigned threads, std::size_t items,
+             const std::function<void()>& worker);
+
 }  // namespace mcs::util

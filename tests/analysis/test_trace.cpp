@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/executor.hpp"
 #include "util/strings.hpp"
 
 namespace mcs::analysis {
@@ -12,7 +13,7 @@ fi::CampaignResult small_campaign() {
   plan.runs = 6;
   plan.duration_ticks = 2'000;
   plan.phase = 2;
-  fi::Campaign campaign(plan);
+  fi::CampaignExecutor campaign(plan, {1});
   return campaign.execute();
 }
 

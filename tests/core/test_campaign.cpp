@@ -1,4 +1,6 @@
-#include "core/campaign.hpp"
+// The campaign loop (CampaignExecutor at width 1: one thread, runs in
+// order) and the CampaignResult / run-log helpers of core/campaign.hpp.
+#include "core/executor.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,14 +18,14 @@ TestPlan quick_medium_plan(std::uint32_t runs) {
 }
 
 TEST(Campaign, ExecutesRequestedRuns) {
-  Campaign campaign(quick_medium_plan(4));
+  CampaignExecutor campaign(quick_medium_plan(4), {1});
   const CampaignResult result = campaign.execute();
   EXPECT_EQ(result.runs.size(), 4u);
   EXPECT_EQ(result.distribution().total(), 4u);
 }
 
 TEST(Campaign, EveryRunReceivesInjections) {
-  Campaign campaign(quick_medium_plan(4));
+  CampaignExecutor campaign(quick_medium_plan(4), {1});
   const CampaignResult result = campaign.execute();
   for (const RunResult& run : result.runs) {
     EXPECT_GE(run.injections, 1u);
@@ -33,8 +35,8 @@ TEST(Campaign, EveryRunReceivesInjections) {
 }
 
 TEST(Campaign, DeterministicForSeed) {
-  Campaign a(quick_medium_plan(6));
-  Campaign b(quick_medium_plan(6));
+  CampaignExecutor a(quick_medium_plan(6), {1});
+  CampaignExecutor b(quick_medium_plan(6), {1});
   const CampaignResult result_a = a.execute();
   const CampaignResult result_b = b.execute();
   ASSERT_EQ(result_a.runs.size(), result_b.runs.size());
@@ -48,8 +50,8 @@ TEST(Campaign, DifferentSeedsDiverge) {
   TestPlan plan_a = quick_medium_plan(8);
   TestPlan plan_b = quick_medium_plan(8);
   plan_b.seed = plan_a.seed + 1;
-  const CampaignResult a = Campaign(plan_a).execute();
-  const CampaignResult b = Campaign(plan_b).execute();
+  const CampaignResult a = CampaignExecutor(plan_a, {1}).execute();
+  const CampaignResult b = CampaignExecutor(plan_b, {1}).execute();
   bool any_difference = false;
   for (std::size_t i = 0; i < a.runs.size(); ++i) {
     if (a.runs[i].outcome != b.runs[i].outcome) any_difference = true;
@@ -60,7 +62,7 @@ TEST(Campaign, DifferentSeedsDiverge) {
 }
 
 TEST(Campaign, ProgressCallbackFires) {
-  Campaign campaign(quick_medium_plan(3));
+  CampaignExecutor campaign(quick_medium_plan(3), {1});
   int calls = 0;
   campaign.set_progress([&](std::uint32_t index, const RunResult&) {
     EXPECT_EQ(index, static_cast<std::uint32_t>(calls));
@@ -71,7 +73,7 @@ TEST(Campaign, ProgressCallbackFires) {
 }
 
 TEST(Campaign, ExecuteOneIsReplayable) {
-  Campaign campaign(quick_medium_plan(1));
+  CampaignExecutor campaign(quick_medium_plan(1), {1});
   const RunResult a = campaign.execute_one(777);
   const RunResult b = campaign.execute_one(777);
   EXPECT_EQ(a.outcome, b.outcome);
@@ -81,7 +83,7 @@ TEST(Campaign, ExecuteOneIsReplayable) {
 
 TEST(Campaign, RecoveryProbeRecordedOnFailures) {
   TestPlan plan = quick_medium_plan(12);
-  Campaign campaign(plan);
+  CampaignExecutor campaign(plan, {1});
   const CampaignResult result = campaign.execute();
   for (const RunResult& run : result.runs) {
     if (run.outcome == Outcome::CpuPark) {

@@ -4,6 +4,7 @@
 
 #include <mutex>
 #include <set>
+#include <thread>
 
 namespace mcs::fi {
 namespace {
@@ -35,9 +36,9 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
 // regardless of the worker count.
 TEST(CampaignExecutor, SixtyFourRunsIdenticalAcrossOneTwoEightThreads) {
   const TestPlan plan = quick_plan(64);
-  const CampaignResult serial = CampaignExecutor(plan, {1, true}).execute();
-  const CampaignResult two = CampaignExecutor(plan, {2, true}).execute();
-  const CampaignResult eight = CampaignExecutor(plan, {8, true}).execute();
+  const CampaignResult serial = CampaignExecutor(plan, {1}).execute();
+  const CampaignResult two = CampaignExecutor(plan, {2}).execute();
+  const CampaignResult eight = CampaignExecutor(plan, {8}).execute();
   expect_identical(serial, two);
   expect_identical(serial, eight);
 }
@@ -49,9 +50,9 @@ TEST(CampaignExecutor, ShardingDeterministicOnEveryBoardVariant) {
   for (const char* board : {"bananapi", "quad-a7"}) {
     TestPlan plan = quick_plan(24);
     plan.board = board;
-    const CampaignResult one = CampaignExecutor(plan, {1, true}).execute();
-    const CampaignResult four = CampaignExecutor(plan, {4, true}).execute();
-    const CampaignResult eight = CampaignExecutor(plan, {8, true}).execute();
+    const CampaignResult one = CampaignExecutor(plan, {1}).execute();
+    const CampaignResult four = CampaignExecutor(plan, {4}).execute();
+    const CampaignResult eight = CampaignExecutor(plan, {8}).execute();
     SCOPED_TRACE(board);
     expect_identical(one, four);
     expect_identical(one, eight);
@@ -61,7 +62,7 @@ TEST(CampaignExecutor, ShardingDeterministicOnEveryBoardVariant) {
 TEST(CampaignExecutor, UnknownBoardIsAHarnessError) {
   TestPlan plan = quick_plan(2);
   plan.board = "hexa-a53";
-  const CampaignResult result = CampaignExecutor(plan, {2, true}).execute();
+  const CampaignResult result = CampaignExecutor(plan, {2}).execute();
   ASSERT_EQ(result.runs.size(), 2u);
   for (const RunResult& run : result.runs) {
     EXPECT_EQ(run.outcome, Outcome::HarnessError);
@@ -77,22 +78,15 @@ TEST(CampaignExecutor, TuningBoardKeyOverridesPlanBoard) {
   plan.scenario = "ivshmem-traffic";
   plan.board = "bananapi";
   plan.cell_tuning = "board quad-a7";
-  const CampaignResult result = CampaignExecutor(plan, {1, true}).execute();
+  const CampaignResult result = CampaignExecutor(plan, {1}).execute();
   ASSERT_EQ(result.runs.size(), 1u);
   EXPECT_NE(result.runs[0].outcome, Outcome::HarnessError)
       << result.runs[0].detail;
 }
 
-TEST(CampaignExecutor, MatchesSerialCampaignClass) {
-  const TestPlan plan = quick_plan(12);
-  const CampaignResult via_campaign = Campaign(plan).execute();
-  const CampaignResult via_executor = CampaignExecutor(plan, {4, true}).execute();
-  expect_identical(via_campaign, via_executor);
-}
-
 TEST(CampaignExecutor, ProgressFiresOncePerRunWithUniqueIndices) {
   const TestPlan plan = quick_plan(16);
-  CampaignExecutor executor(plan, {4, true});
+  CampaignExecutor executor(plan, {4});
   std::mutex mutex;
   std::set<std::uint32_t> seen;
   executor.set_progress([&](std::uint32_t index, const RunResult&) {
@@ -107,39 +101,44 @@ TEST(CampaignExecutor, ProgressFiresOncePerRunWithUniqueIndices) {
 }
 
 TEST(CampaignExecutor, SerialProgressArrivesInRunOrder) {
-  CampaignExecutor executor(quick_plan(5), {1, true});
+  // Width 1 runs inline: no worker thread, so every callback fires on the
+  // caller's thread, in run order.
+  CampaignExecutor executor(quick_plan(5), {1});
+  const std::thread::id caller = std::this_thread::get_id();
   std::uint32_t expected = 0;
   executor.set_progress([&](std::uint32_t index, const RunResult&) {
     EXPECT_EQ(index, expected++);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
   });
   (void)executor.execute();
   EXPECT_EQ(expected, 5u);
 }
 
-TEST(CampaignExecutor, ExecuteOneMatchesCampaignReplay) {
-  const TestPlan plan = quick_plan(1);
-  CampaignExecutor executor(plan, {1, true});
-  Campaign campaign(plan);
-  const RunResult a = executor.execute_one(777);
-  const RunResult b = campaign.execute_one(777);
-  EXPECT_EQ(a.outcome, b.outcome);
-  EXPECT_EQ(a.injections, b.injections);
-  EXPECT_EQ(a.uart1_bytes, b.uart1_bytes);
-}
-
-TEST(CampaignExecutor, ProbeRecoveryOffLeavesReclaimUnset) {
-  TestPlan plan = quick_plan(10);
-  const CampaignResult result = CampaignExecutor(plan, {2, false}).execute();
-  for (const RunResult& run : result.runs) {
-    EXPECT_FALSE(run.shutdown_reclaimed);
-  }
-}
-
 TEST(CampaignExecutor, ZeroRunPlanYieldsEmptyResult) {
   const CampaignResult result =
-      CampaignExecutor(quick_plan(0), {4, true}).execute();
+      CampaignExecutor(quick_plan(0), {4}).execute();
   EXPECT_TRUE(result.runs.empty());
   EXPECT_EQ(result.distribution().total(), 0u);
+}
+
+TEST(CampaignExecutor, RateZeroIsAHarnessErrorOnEveryRun) {
+  // The injector fires on every rate-th hook call, so rate 0 has no
+  // cadence: it must be refused per run, never reach the injector, and
+  // never provision a testbed.
+  TestPlan plan = quick_plan(3);
+  plan.rate = 0;
+  const auto before = TestbedPool::instance().stats();
+  for (const unsigned threads : {1u, 4u}) {
+    const CampaignResult result = CampaignExecutor(plan, {threads}).execute();
+    ASSERT_EQ(result.runs.size(), 3u);
+    for (const RunResult& run : result.runs) {
+      EXPECT_EQ(run.outcome, Outcome::HarnessError);
+      EXPECT_NE(run.detail.find("rate 0"), std::string::npos) << run.detail;
+    }
+  }
+  EXPECT_EQ(CampaignExecutor(plan, {1}).execute_one(7).outcome,
+            Outcome::HarnessError);
+  EXPECT_EQ(TestbedPool::instance().stats().acquires, before.acquires);
 }
 
 TEST(CampaignExecutor, ScenarioSelectionAffectsResults) {
@@ -149,8 +148,8 @@ TEST(CampaignExecutor, ScenarioSelectionAffectsResults) {
   TestPlan during_boot = quick_plan(10);
   during_boot.scenario = "inject-during-boot";
   during_boot.phase = 1;
-  const CampaignResult a = CampaignExecutor(steady, {2, true}).execute();
-  const CampaignResult b = CampaignExecutor(during_boot, {2, true}).execute();
+  const CampaignResult a = CampaignExecutor(steady, {2}).execute();
+  const CampaignResult b = CampaignExecutor(during_boot, {2}).execute();
   // Same seeds, different lifecycle: the injection lands in a different
   // frame, so at minimum the timing observables must diverge somewhere.
   bool any_difference = false;

@@ -66,6 +66,15 @@ TEST(SweepSpec, RejectsMalformedInput) {
   EXPECT_FALSE(parse_sweep_spec("scenario a\nrate 100 100\n").is_ok());
   EXPECT_FALSE(
       parse_sweep_spec("scenario a\nrate 100\nboard b b\n").is_ok());
+  // rate and runs are 32-bit: a larger value is refused, never truncated
+  // (4294967396 would otherwise run as rate 100, 4294967297 as 1 run).
+  EXPECT_FALSE(
+      parse_sweep_spec("scenario freertos-steady\nrate 4294967396\n").is_ok());
+  EXPECT_FALSE(parse_sweep_spec(
+                   "scenario freertos-steady\nrate 100\nruns 4294967297\n")
+                   .is_ok());
+  EXPECT_TRUE(
+      parse_sweep_spec("scenario freertos-steady\nrate 4294967295\n").is_ok());
 }
 
 // --- grid expansion ---------------------------------------------------------
@@ -157,7 +166,7 @@ TEST(SweepDriver, RejectsUnknownScenarioAndBoardKeys) {
 // --- execution --------------------------------------------------------------
 
 TEST(SweepDriver, ExecutesEveryCellAndFoldsTheTotals) {
-  SweepDriver driver(small_spec(), {/*threads=*/2, /*probe_recovery=*/true});
+  SweepDriver driver(small_spec(), {/*threads=*/2});
   auto swept = driver.execute();
   ASSERT_TRUE(swept.is_ok()) << swept.status().to_string();
   const SweepResult& result = swept.value();
@@ -175,9 +184,9 @@ TEST(SweepDriver, ExecutesEveryCellAndFoldsTheTotals) {
 }
 
 TEST(SweepDriver, CellAggregatesAreBitIdenticalAcrossThreadCounts) {
-  auto one = SweepDriver(small_spec(), {1, true}).execute();
-  auto four = SweepDriver(small_spec(), {4, true}).execute();
-  auto eight = SweepDriver(small_spec(), {8, true}).execute();
+  auto one = SweepDriver(small_spec(), {1}).execute();
+  auto four = SweepDriver(small_spec(), {4}).execute();
+  auto eight = SweepDriver(small_spec(), {8}).execute();
   ASSERT_TRUE(one.is_ok() && four.is_ok() && eight.is_ok());
   for (const auto* other : {&four.value(), &eight.value()}) {
     ASSERT_EQ(one.value().cells.size(), other->cells.size());
@@ -227,7 +236,7 @@ TEST(CellPersistence, ExecuteCellCommitsLogThenMetaWithNoTempLitter) {
   { std::ofstream(cell_meta_path(log_path)) << "stale-fingerprint\n"; }
 
   std::uint32_t per_run_fires = 0;
-  auto aggregate = execute_cell(plan, log_path, {1, true}, "tagged",
+  auto aggregate = execute_cell(plan, log_path, {1}, "tagged",
                                 [&per_run_fires](std::uint32_t) {
                                   ++per_run_fires;
                                 });
@@ -408,9 +417,9 @@ TEST(SweepDriver, DomainCellAggregatesAreBitIdenticalAcrossThreadCounts) {
   spec.runs = 3;
   spec.seed = 0xD0;
   spec.duration_ticks = 2'000;
-  auto one = SweepDriver(spec, {1, true}).execute();
-  auto four = SweepDriver(spec, {4, true}).execute();
-  auto eight = SweepDriver(spec, {8, true}).execute();
+  auto one = SweepDriver(spec, {1}).execute();
+  auto four = SweepDriver(spec, {4}).execute();
+  auto eight = SweepDriver(spec, {8}).execute();
   ASSERT_TRUE(one.is_ok() && four.is_ok() && eight.is_ok());
   for (const auto* other : {&four.value(), &eight.value()}) {
     ASSERT_EQ(one.value().cells.size(), other->cells.size());

@@ -152,7 +152,6 @@ TEST(TestbedPool, ExecutorReusesSlotsAcrossRunsAndCampaigns) {
 
   ExecutorConfig config;
   config.threads = 2;
-  config.probe_recovery = false;
   for (int campaign = 0; campaign < 2; ++campaign) {
     CampaignExecutor executor(plan, config);
     (void)executor.execute();
@@ -182,7 +181,6 @@ TEST(TestbedPool, FreshModeBypassesThePool) {
   plan.duration_ticks = 200;
   ExecutorConfig config;
   config.threads = 1;
-  config.probe_recovery = false;
   const auto before = TestbedPool::instance().stats();
   const CampaignExecutor executor(plan, config);
   (void)executor.execute_one(1);
@@ -195,7 +193,7 @@ TEST(TestbedPool, UnknownBoardStillReportsHarnessErrorPerRun) {
   TestPlan plan = find_scenario("freertos-steady")->make_plan();
   plan.board = "no-such-board";
   plan.runs = 2;
-  CampaignExecutor executor(plan, {1, false});
+  CampaignExecutor executor(plan, {1});
   const CampaignResult result = executor.execute();
   ASSERT_EQ(result.runs.size(), 2u);
   for (const RunResult& run : result.runs) {
@@ -208,7 +206,7 @@ TEST(TestbedPool, TuningBoardKeyOverridesPlanAndIsResolvedOnce) {
   TestPlan plan = find_scenario("freertos-steady")->make_plan();
   plan.board = "bananapi";
   plan.cell_tuning = "board quad-a7";
-  CampaignExecutor executor(plan, {1, false});
+  CampaignExecutor executor(plan, {1});
   EXPECT_EQ(executor.board_name(), "quad-a7");
 }
 

@@ -1,11 +1,13 @@
-// Shared harness of the reuse- and snapshot-equivalence suites.
+// Shared harness of the tick-, reuse- and snapshot-equivalence suites.
 //
 // The reference ("oracle") for every provisioning path is
 // CampaignExecutor::execute_one(): the same run on a freshly built
 // testbed. oracle_campaign() replays a whole plan that way — seeds
 // expanded exactly as execute() expands them — and the suites require
 // the pooled executor (restore or reset + boot per run) and a dirty-slot
-// reset-per-run loop to match it run for run, byte for byte.
+// reset-per-run loop to match it run for run, byte for byte. The
+// executor runs event-driven; per_tick_campaign() is the reference for
+// that, built from public Testbed calls on the legacy per-tick loop.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -18,6 +20,8 @@
 #include "core/injector.hpp"
 #include "core/monitor.hpp"
 #include "core/testbed_pool.hpp"
+#include "hypervisor/config_text.hpp"
+#include "platform/board_registry.hpp"
 #include "util/rng.hpp"
 
 namespace mcs::fi::oracle {
@@ -49,24 +53,53 @@ inline CampaignCapture capture(CampaignResult result) {
 
 /// The plan through the pooled executor at `threads` workers.
 inline CampaignCapture executor_campaign(const TestPlan& plan, unsigned threads) {
-  ExecutorConfig config;
-  config.threads = threads;
-  config.tick_policy = jh::TickPolicy::EventDriven;
-  CampaignExecutor executor(plan, config);
+  CampaignExecutor executor(plan, {threads});
   return capture(executor.execute());
 }
 
 /// The plan run by run through execute_one(): one fresh testbed per run.
 inline CampaignCapture oracle_campaign(const TestPlan& plan) {
-  ExecutorConfig config;
-  config.tick_policy = jh::TickPolicy::EventDriven;
-  const CampaignExecutor executor(plan, config);
+  const CampaignExecutor executor(plan);
   CampaignResult result;
   result.plan = plan;
   for (const std::uint64_t seed : run_seeds(plan)) {
     result.runs.push_back(executor.execute_one(seed));
   }
   return capture(std::move(result));
+}
+
+/// One run on a testbed that scenario.setup() has already configured:
+/// boot (with the injector live when the scenario injects during boot),
+/// the injected window, the epilogue, classification and — on failure —
+/// the shutdown probe. The executor's per-run sequence in public calls.
+inline RunResult run_prepared(const Scenario& scenario, const TestPlan& plan,
+                              std::uint64_t seed, Testbed& testbed) {
+  Injector injector(plan, seed, testbed.board().clock());
+  RunMonitor monitor;
+  if (scenario.arm_during_boot(plan)) {
+    injector.attach(testbed.hypervisor());
+    scenario.boot(testbed);
+    monitor.begin(testbed);
+  } else {
+    scenario.boot(testbed);
+    monitor.begin(testbed);
+    injector.attach(testbed.hypervisor());
+  }
+  scenario.observe(testbed, plan);
+  injector.set_armed(false);
+  scenario.epilogue(testbed);
+  RunResult run = monitor.finish(testbed);
+  run.fault_domain = plan.fault_domain;
+  run.injections = injector.injections();
+  run.first_injection_tick = injector.first_injection_tick();
+  for (const InjectionRecord& record : injector.records()) {
+    run.flipped_bits += record.flips.size();
+  }
+  if (run.outcome != Outcome::Correct && run.outcome != Outcome::HarnessError) {
+    run.shutdown_reclaimed = probe_shutdown_reclaims(testbed);
+  }
+  injector.detach(testbed.hypervisor());
+  return run;
 }
 
 /// The plan on one testbed that is reset() and re-booted before every
@@ -92,32 +125,32 @@ inline CampaignCapture reset_per_run_campaign(const TestPlan& plan,
   for (const std::uint64_t seed : run_seeds(plan)) {
     testbed.reset();
     EXPECT_TRUE(scenario.setup(testbed).is_ok());
-    Injector injector(plan, seed, testbed.board().clock());
-    RunMonitor monitor;
-    if (scenario.arm_during_boot(plan)) {
-      injector.attach(testbed.hypervisor());
-      scenario.boot(testbed);
-      monitor.begin(testbed);
-    } else {
-      scenario.boot(testbed);
-      monitor.begin(testbed);
-      injector.attach(testbed.hypervisor());
-    }
-    scenario.observe(testbed, plan);
-    injector.set_armed(false);
-    scenario.epilogue(testbed);
-    RunResult run = monitor.finish(testbed);
-    run.fault_domain = plan.fault_domain;
-    run.injections = injector.injections();
-    run.first_injection_tick = injector.first_injection_tick();
-    for (const InjectionRecord& record : injector.records()) {
-      run.flipped_bits += record.flips.size();
-    }
-    if (run.outcome != Outcome::Correct && run.outcome != Outcome::HarnessError) {
-      run.shutdown_reclaimed = probe_shutdown_reclaims(testbed);
-    }
-    injector.detach(testbed.hypervisor());
-    result.runs.push_back(std::move(run));
+    result.runs.push_back(run_prepared(scenario, plan, seed, testbed));
+  }
+  return capture(std::move(result));
+}
+
+/// The plan on the legacy per-tick loop: per run, a freshly built testbed
+/// on the plan's board (the tuning's `board` key overrides it), forced to
+/// TickPolicy::PerTick, tuned, set up, then run_prepared(). The reference
+/// the event-driven executor must match run for run, byte for byte.
+inline CampaignCapture per_tick_campaign(const TestPlan& plan) {
+  jh::CellTuning tuning;
+  if (!plan.cell_tuning.empty()) {
+    auto parsed = jh::parse_cell_tuning(plan.cell_tuning);
+    EXPECT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+    if (parsed.is_ok()) tuning = parsed.value();
+  }
+  const std::string board = tuning.board.empty() ? plan.board : tuning.board;
+  const Scenario& scenario = *find_scenario(plan.scenario);
+  CampaignResult result;
+  result.plan = plan;
+  for (const std::uint64_t seed : run_seeds(plan)) {
+    Testbed testbed(platform::make_board(board));
+    testbed.set_tick_policy(jh::TickPolicy::PerTick);
+    if (!tuning.empty()) testbed.set_cell_tuning(tuning);
+    EXPECT_TRUE(scenario.setup(testbed).is_ok()) << plan.scenario;
+    result.runs.push_back(run_prepared(scenario, plan, seed, testbed));
   }
   return capture(std::move(result));
 }

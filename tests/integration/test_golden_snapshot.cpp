@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/trace.hpp"
-#include "core/campaign.hpp"
+#include "core/executor.hpp"
 #include "core/scenario.hpp"
 #include "hypervisor/ivshmem.hpp"
 
@@ -19,8 +19,7 @@ TEST(GoldenSnapshot, MediumCampaignExactDistribution) {
   TestPlan plan = paper_medium_trap_plan();
   plan.runs = 30;
   plan.seed = 0x5EED;
-  Campaign campaign(plan);
-  campaign.set_probe_recovery(false);
+  CampaignExecutor campaign(plan, {1});
   const OutcomeDistribution dist = campaign.execute().distribution();
   // Exact values for seed 0x5EED; if the simulation changes semantics,
   // update these alongside EXPERIMENTS.md (that is the point).
@@ -33,12 +32,10 @@ TEST(GoldenSnapshot, MediumCampaignExactDistribution) {
 
   // The strongest regression property: the same campaign replays to the
   // same per-run outcomes, twice.
-  Campaign replay(plan);
-  replay.set_probe_recovery(false);
+  CampaignExecutor replay(plan, {1});
   const CampaignResult again = replay.execute();
   const CampaignResult first = [&plan] {
-    Campaign c(plan);
-    c.set_probe_recovery(false);
+    CampaignExecutor c(plan, {1});
     return c.execute();
   }();
   ASSERT_EQ(first.runs.size(), again.runs.size());
@@ -52,10 +49,8 @@ TEST(GoldenSnapshot, ManifestIsStableForFixedSeed) {
   TestPlan plan = paper_medium_trap_plan();
   plan.runs = 10;
   plan.seed = 42;
-  Campaign a(plan);
-  a.set_probe_recovery(false);
-  Campaign b(plan);
-  b.set_probe_recovery(false);
+  CampaignExecutor a(plan, {1});
+  CampaignExecutor b(plan, {1});
   EXPECT_EQ(analysis::campaign_manifest(a.execute()),
             analysis::campaign_manifest(b.execute()));
 }
@@ -70,10 +65,8 @@ TEST(GoldenSnapshot, IvshmemTrafficCampaignReplaysExactly) {
   plan.phase = 2;
   plan.duration_ticks = 4'000;
   plan.seed = 0x5EED;
-  Campaign a(plan);
-  a.set_probe_recovery(false);
-  Campaign b(plan);
-  b.set_probe_recovery(false);
+  CampaignExecutor a(plan, {1});
+  CampaignExecutor b(plan, {1});
   const CampaignResult first = a.execute();
   const CampaignResult again = b.execute();
   ASSERT_EQ(first.runs.size(), again.runs.size());

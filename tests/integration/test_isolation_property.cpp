@@ -5,7 +5,7 @@
 // detected panic.
 #include <gtest/gtest.h>
 
-#include "core/campaign.hpp"
+#include "core/executor.hpp"
 
 namespace mcs::fi {
 namespace {
@@ -117,7 +117,7 @@ TEST_P(DeadRegisterSweep, DeadRegisterFaultsAreAlwaysBenign) {
   plan.duration_ticks = 30'000;
   plan.runs = 1;
 
-  Campaign campaign(plan);
+  CampaignExecutor campaign(plan, {1});
   const CampaignResult result = campaign.execute();
   ASSERT_EQ(result.runs.size(), 1u);
   EXPECT_EQ(result.runs[0].outcome, Outcome::Correct);

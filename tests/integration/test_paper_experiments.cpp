@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/seooc.hpp"
-#include "core/campaign.hpp"
+#include "core/executor.hpp"
 
 namespace mcs::fi {
 namespace {
@@ -21,7 +21,7 @@ TEST_P(HighIntensityRoot, AlwaysInvalidArgumentsCellNeverAllocated) {
                       : paper_high_root_trap_plan();
   plan.runs = 10;
   plan.duration_ticks = 1'000;
-  Campaign campaign(plan);
+  CampaignExecutor campaign(plan, {1});
   const CampaignResult result = campaign.execute();
   const OutcomeDistribution dist = result.distribution();
   EXPECT_EQ(dist.count(Outcome::InvalidArguments), dist.total());
@@ -52,7 +52,7 @@ TEST(HighIntensityNonRoot, InconsistentAllocatedButDeadCell) {
   TestPlan plan = paper_high_nonroot_plan();
   plan.runs = 10;
   plan.duration_ticks = 1'000;
-  Campaign campaign(plan);
+  CampaignExecutor campaign(plan, {1});
   const CampaignResult result = campaign.execute();
   const OutcomeDistribution dist = result.distribution();
   EXPECT_EQ(dist.count(Outcome::InconsistentCell), dist.total());
@@ -68,7 +68,7 @@ TEST(HighIntensityNonRoot, InconsistentAllocatedButDeadCell) {
 TEST(HighIntensityNonRoot, DestroyAndRecreateFixesTheCell) {
   // "only destroying the cell and reallocating it fixes the problem."
   TestPlan plan = paper_high_nonroot_plan();
-  Campaign campaign(plan);
+  CampaignExecutor campaign(plan, {1});
   (void)campaign;  // the sequence below replays one run manually
   Testbed testbed;
   ASSERT_TRUE(testbed.enable_hypervisor().is_ok());
@@ -93,8 +93,7 @@ TEST(HighIntensityNonRoot, DestroyAndRecreateFixesTheCell) {
 TEST(MediumIntensityFigure3, ShapeMatchesThePaper) {
   TestPlan plan = paper_medium_trap_plan();
   plan.runs = 60;  // enough for a stable shape in CI time
-  Campaign campaign(plan);
-  campaign.set_probe_recovery(false);  // speed: shape only
+  CampaignExecutor campaign(plan, {1});
   const CampaignResult result = campaign.execute();
   const OutcomeDistribution dist = result.distribution();
 
@@ -117,8 +116,7 @@ TEST(MediumIntensityFigure3, ShapeMatchesThePaper) {
 TEST(MediumIntensityFigure3, FailuresAreDetectedImmediately) {
   TestPlan plan = paper_medium_trap_plan();
   plan.runs = 20;
-  Campaign campaign(plan);
-  campaign.set_probe_recovery(false);
+  CampaignExecutor campaign(plan, {1});
   const CampaignResult result = campaign.execute();
   for (const RunResult& run : result.runs) {
     if (run.outcome == Outcome::PanicPark || run.outcome == Outcome::CpuPark) {
@@ -137,7 +135,7 @@ TEST(IrqVectorCorruption, AlwaysPredictableNeverFatal) {
   TestPlan plan = irq_vector_plan();
   plan.runs = 15;
   plan.duration_ticks = 5'000;
-  Campaign campaign(plan);
+  CampaignExecutor campaign(plan, {1});
   const CampaignResult result = campaign.execute();
   const OutcomeDistribution dist = result.distribution();
   // Every run survives: corrupted vectors land in benign error paths.
@@ -156,11 +154,11 @@ TEST(SeoocEvidence, PaperCampaignsYieldTheExpectedAssessment) {
     return plan;
   };
   const CampaignResult medium =
-      Campaign(shrink(paper_medium_trap_plan(), 25, kOneMinuteTicks)).execute();
+      CampaignExecutor(shrink(paper_medium_trap_plan(), 25, kOneMinuteTicks), {1}).execute();
   const CampaignResult high_root =
-      Campaign(shrink(paper_high_root_hvc_plan(), 8, 1'000)).execute();
+      CampaignExecutor(shrink(paper_high_root_hvc_plan(), 8, 1'000), {1}).execute();
   const CampaignResult high_nonroot =
-      Campaign(shrink(paper_high_nonroot_plan(), 8, 1'000)).execute();
+      CampaignExecutor(shrink(paper_high_nonroot_plan(), 8, 1'000), {1}).execute();
 
   const analysis::SeoocReport report =
       analysis::build_seooc_report(medium, high_root, high_nonroot);

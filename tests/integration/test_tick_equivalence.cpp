@@ -1,30 +1,24 @@
 // Golden equivalence for the event-driven tick scheduler.
 //
 // The deadline scheduler may only leap spans in which nothing can
-// execute, so a campaign run under TickPolicy::EventDriven must be
-// *bit-identical* to the legacy per-tick loop: same run-log lines, same
+// execute, so the executor's (always event-driven) campaigns must be
+// *bit-identical* to a per-tick reference campaign built from public
+// Testbed calls (oracle::per_tick_campaign): same run-log lines, same
 // outcome distribution, same injection and failure timestamps. This
 // suite pins that property on every registered scenario, and pins the
-// executor's companion guarantee — thread-count-independent results —
-// on the event-driven path.
+// executor's companion guarantee — thread-count-independent results.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "analysis/log_sink.hpp"
-#include "core/executor.hpp"
+#include "campaign_oracle.hpp"
 #include "core/monitor.hpp"
 #include "hypervisor/watchdog.hpp"
 #include "platform/board_registry.hpp"
 
 namespace mcs::fi {
 namespace {
-
-struct CampaignCapture {
-  CampaignResult result;
-  std::string log_text;
-};
 
 TestPlan equivalence_plan(const std::string& scenario) {
   TestPlan plan = find_scenario(scenario)->make_plan();
@@ -34,60 +28,13 @@ TestPlan equivalence_plan(const std::string& scenario) {
   return plan;
 }
 
-CampaignCapture run_campaign(const TestPlan& plan, jh::TickPolicy policy,
-                             unsigned threads) {
-  CampaignCapture capture;
-  CampaignExecutor executor(plan, {threads, /*probe_recovery=*/true, policy});
-  analysis::LogSink sink;
-  executor.set_progress([&sink](std::uint32_t index, const RunResult& run) {
-    sink.record(index, run);
-  });
-  capture.result = executor.execute();
-  capture.log_text = sink.text();
-  return capture;
-}
-
-void expect_identical_runs(const CampaignCapture& a, const CampaignCapture& b,
-                           const std::string& label) {
-  EXPECT_EQ(a.log_text, b.log_text) << label;
-  ASSERT_EQ(a.result.runs.size(), b.result.runs.size()) << label;
-  for (std::size_t i = 0; i < a.result.runs.size(); ++i) {
-    const RunResult& x = a.result.runs[i];
-    const RunResult& y = b.result.runs[i];
-    const std::string at = label + ", run " + std::to_string(i);
-    EXPECT_EQ(x.outcome, y.outcome) << at;
-    EXPECT_EQ(x.detail, y.detail) << at;
-    EXPECT_EQ(x.injections, y.injections) << at;
-    EXPECT_EQ(x.flipped_bits, y.flipped_bits) << at;
-    EXPECT_EQ(x.first_injection_tick, y.first_injection_tick) << at;
-    EXPECT_EQ(x.failure_tick, y.failure_tick) << at;
-    EXPECT_EQ(x.uart1_bytes, y.uart1_bytes) << at;
-    EXPECT_EQ(x.led_toggles, y.led_toggles) << at;
-    EXPECT_EQ(x.traps, y.traps) << at;
-    EXPECT_EQ(x.hvcs, y.hvcs) << at;
-    EXPECT_EQ(x.irqs, y.irqs) << at;
-    EXPECT_EQ(x.create_result, y.create_result) << at;
-    EXPECT_EQ(x.start_result, y.start_result) << at;
-    EXPECT_EQ(x.cell_exists, y.cell_exists) << at;
-    EXPECT_EQ(x.shutdown_reclaimed, y.shutdown_reclaimed) << at;
-  }
-  for (std::size_t o = 0; o < kNumOutcomes; ++o) {
-    const auto outcome = static_cast<Outcome>(o);
-    EXPECT_EQ(a.result.distribution().count(outcome),
-              b.result.distribution().count(outcome))
-        << label << ": " << outcome_name(outcome);
-  }
-}
-
 TEST(TickEquivalence, EventDrivenMatchesPerTickOnEveryScenario) {
   for (const std::string& name : ScenarioRegistry::instance().names()) {
     if (name.rfind("test-", 0) == 0) continue;  // suite-local fixtures
     const TestPlan plan = equivalence_plan(name);
-    const CampaignCapture legacy =
-        run_campaign(plan, jh::TickPolicy::PerTick, 1);
-    const CampaignCapture event =
-        run_campaign(plan, jh::TickPolicy::EventDriven, 1);
-    expect_identical_runs(legacy, event, "scenario " + name);
+    oracle::expect_identical(oracle::per_tick_campaign(plan),
+                             oracle::executor_campaign(plan, 1),
+                             "scenario " + name);
   }
 }
 
@@ -95,9 +42,8 @@ TEST(TickEquivalence, EventDrivenCampaignsExerciseFailingRuns) {
   // The equivalence above is only meaningful if the plans actually drive
   // runs into the failure states whose tails the scheduler leaps.
   const TestPlan plan = equivalence_plan("freertos-steady");
-  const CampaignCapture event =
-      run_campaign(plan, jh::TickPolicy::EventDriven, 1);
-  const OutcomeDistribution dist = event.result.distribution();
+  const OutcomeDistribution dist =
+      oracle::executor_campaign(plan, 1).result.distribution();
   EXPECT_GT(dist.total() - dist.count(Outcome::Correct), 0u)
       << "plan produced no failures; tighten rate/phase";
 }
@@ -106,25 +52,20 @@ TEST(TickEquivalence, AggregateIdenticalAcrossOneFourEightThreads) {
   // {board} × {threads}: the executor's thread-count independence must
   // hold on every registered board variant, including the 4-CPU board
   // hosting two concurrent cells.
+  const auto expect_thread_independent = [](const TestPlan& plan,
+                                            const std::string& label) {
+    const oracle::CampaignCapture one = oracle::executor_campaign(plan, 1);
+    oracle::expect_identical(one, oracle::executor_campaign(plan, 4),
+                             label + "threads 1 vs 4");
+    oracle::expect_identical(one, oracle::executor_campaign(plan, 8),
+                             label + "threads 1 vs 8");
+  };
   for (const std::string& board : platform::BoardRegistry::instance().names()) {
     TestPlan plan = equivalence_plan("dual-cell");
     plan.board = board;
-    const CampaignCapture one =
-        run_campaign(plan, jh::TickPolicy::EventDriven, 1);
-    const CampaignCapture four =
-        run_campaign(plan, jh::TickPolicy::EventDriven, 4);
-    const CampaignCapture eight =
-        run_campaign(plan, jh::TickPolicy::EventDriven, 8);
-    expect_identical_runs(one, four, board + ": threads 1 vs 4");
-    expect_identical_runs(one, eight, board + ": threads 1 vs 8");
+    expect_thread_independent(plan, board + ": ");
   }
-  const TestPlan plan = equivalence_plan("freertos-steady");
-  const CampaignCapture one = run_campaign(plan, jh::TickPolicy::EventDriven, 1);
-  const CampaignCapture four = run_campaign(plan, jh::TickPolicy::EventDriven, 4);
-  const CampaignCapture eight =
-      run_campaign(plan, jh::TickPolicy::EventDriven, 8);
-  expect_identical_runs(one, four, "threads 1 vs 4");
-  expect_identical_runs(one, eight, "threads 1 vs 8");
+  expect_thread_independent(equivalence_plan("freertos-steady"), "");
 }
 
 TEST(TickEquivalence, WindowsCloseExactlyAtOpenPlusDuration) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace mcs::util {
@@ -65,6 +68,31 @@ TEST(ThreadPool, ReusableAcrossWaves) {
 
 TEST(ThreadPool, DefaultThreadsIsAtLeastOne) {
   EXPECT_GE(ThreadPool::default_threads(), 1u);
+}
+
+TEST(ThreadPool, FanOutClaimsEveryItemOnceAndRunsInlineAtWidthOne) {
+  // One claim loop serves every width; min(threads, items) workers run it,
+  // and a width of 1 (one thread, or one item) never leaves the caller.
+  for (const auto& [threads, items] :
+       std::vector<std::pair<unsigned, std::size_t>>{
+           {1, 5}, {4, 1}, {4, 0}, {4, 37}, {300, 3}}) {
+    std::vector<std::atomic<int>> hits(items);
+    std::atomic<std::size_t> next{0};
+    std::atomic<int> workers{0};
+    std::atomic<int> off_caller{0};
+    const std::thread::id caller = std::this_thread::get_id();
+    fan_out(threads, items, [&] {
+      workers.fetch_add(1);
+      if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+      for (std::size_t i = next.fetch_add(1); i < items; i = next.fetch_add(1)) {
+        hits[i].fetch_add(1);
+      }
+    });
+    const int width = static_cast<int>(std::min<std::size_t>(threads, items));
+    EXPECT_EQ(workers.load(), width) << threads << " x " << items;
+    EXPECT_EQ(off_caller.load(), width > 1 ? width : 0) << threads << " x " << items;
+    for (const std::atomic<int>& hit : hits) EXPECT_EQ(hit.load(), 1);
+  }
 }
 
 }  // namespace
