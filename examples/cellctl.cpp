@@ -66,8 +66,8 @@ int main(int argc, char** argv) {
   testbed.run(3'000);
   std::cout << "\nafter 3 s: USART bytes=" << testbed.board().uart1().total_bytes()
             << ", LED toggles=" << testbed.board().gpio().led_toggles()
-            << ", stage-2 faults=" << cell->stage2_faults
-            << ", hypercalls=" << cell->hypercalls << "\n";
+            << ", stage-2 faults=" << cell->stage2_faults()
+            << ", hypercalls=" << cell->hypercalls() << "\n";
 
   // 5. Clean teardown.
   testbed.shutdown_freertos_cell();

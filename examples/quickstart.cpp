@@ -39,7 +39,7 @@ int main() {
             << testbed.freertos().messages_validated() << "\n"
             << "  data errors         : " << testbed.freertos().data_errors() << "\n"
             << "  console bytes (cell): "
-            << (cell != nullptr ? cell->console_bytes : 0) << "\n\n";
+            << (cell != nullptr ? cell->console_bytes() : 0) << "\n\n";
 
   const auto lines = testbed.board().uart1().lines();
   std::cout << "last USART lines from the non-root cell:\n";

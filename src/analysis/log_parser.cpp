@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstring>
+#include <limits>
 
 #include "util/line_scanner.hpp"
 #include "util/logpipe_counters.hpp"
@@ -245,7 +246,7 @@ bool parse_line_into(std::string_view line, RunLogEntryView& entry) {
     std::uint64_t index = 0;
     const auto [q, ec] = std::from_chars(cursor, end, index);
     if (ec != std::errc{} || q == cursor || q + 2 > end || q[0] != ':' ||
-        q[1] != ' ') {
+        q[1] != ' ' || index > std::numeric_limits<std::uint32_t>::max()) {
       return false;
     }
     entry.index = static_cast<std::uint32_t>(index);

@@ -16,7 +16,7 @@ std::string_view power_state_name(PowerState state) noexcept {
 }
 
 Cpu::Cpu(int id) noexcept : id_(id) {
-  cpsr_.set_mode(Mode::Supervisor);
+  state_.cpsr.set_mode(Mode::Supervisor);
 }
 
 Word Cpu::hyp_stack_base() const noexcept {
@@ -28,7 +28,7 @@ Word Cpu::hyp_stack_top() const noexcept {
 }
 
 util::Status Cpu::power_on(Word entry) noexcept {
-  switch (state_) {
+  switch (state_.power) {
     case PowerState::On:
     case PowerState::Booting:
       return util::busy("cpu already on");
@@ -38,45 +38,45 @@ util::Status Cpu::power_on(Word entry) noexcept {
     case PowerState::Failed:
       break;
   }
-  entry_point_ = entry;
-  state_ = PowerState::Booting;
-  halt_reason_.clear();
+  state_.entry_point = entry;
+  state_.power = PowerState::Booting;
+  state_.halt_reason.clear();
   return util::ok_status();
 }
 
 util::Status Cpu::complete_boot() noexcept {
-  if (state_ != PowerState::Booting) {
+  if (state_.power != PowerState::Booting) {
     return util::Status(util::Code::EInval, "cpu not in bring-up");
   }
-  state_ = PowerState::On;
-  regs_.set(Reg::PC, entry_point_);
-  cpsr_.set_mode(Mode::Supervisor);
+  state_.power = PowerState::On;
+  state_.regs.set(Reg::PC, state_.entry_point);
+  state_.cpsr.set_mode(Mode::Supervisor);
   return util::ok_status();
 }
 
 void Cpu::fail_boot(std::string reason) {
-  state_ = PowerState::Failed;
-  halt_reason_ = std::move(reason);
+  state_.power = PowerState::Failed;
+  state_.halt_reason = std::move(reason);
 }
 
 void Cpu::park(std::string reason) {
-  state_ = PowerState::Parked;
-  halt_reason_ = std::move(reason);
+  state_.power = PowerState::Parked;
+  state_.halt_reason = std::move(reason);
 }
 
 void Cpu::power_off() noexcept {
-  state_ = PowerState::Off;
-  halt_reason_.clear();
-  entry_point_ = 0;
+  state_.power = PowerState::Off;
+  state_.halt_reason.clear();
+  state_.entry_point = 0;
 }
 
 EntryFrame Cpu::make_trap_frame(Syndrome hsr) const {
   EntryFrame frame;
   frame.cpu = id_;
   frame.hsr = hsr;
-  frame.guest_cpsr = cpsr_;
-  frame.guest_pc = regs_.get(Reg::PC);
-  frame.bank = regs_;
+  frame.guest_cpsr = state_.cpsr;
+  frame.guest_pc = state_.regs.get(Reg::PC);
+  frame.bank = state_.regs;
   // The entry stub materialises the handler's working set: r0 holds the
   // pointer to the on-stack trap context, r1 the HSR value just read,
   // r2-r4 the trap payload (hypercall code/args, or fault address/value —

@@ -80,19 +80,19 @@ class Cpu {
 
   [[nodiscard]] int id() const noexcept { return id_; }
 
-  [[nodiscard]] RegisterBank& regs() noexcept { return regs_; }
-  [[nodiscard]] const RegisterBank& regs() const noexcept { return regs_; }
+  [[nodiscard]] RegisterBank& regs() noexcept { return state_.regs; }
+  [[nodiscard]] const RegisterBank& regs() const noexcept { return state_.regs; }
 
-  [[nodiscard]] Cpsr& cpsr() noexcept { return cpsr_; }
-  [[nodiscard]] const Cpsr& cpsr() const noexcept { return cpsr_; }
+  [[nodiscard]] Cpsr& cpsr() noexcept { return state_.cpsr; }
+  [[nodiscard]] const Cpsr& cpsr() const noexcept { return state_.cpsr; }
 
   // --- HYP-mode banked state -------------------------------------------
-  [[nodiscard]] Syndrome hsr() const noexcept { return hsr_; }
-  void set_hsr(Syndrome hsr) noexcept { hsr_ = hsr; }
-  [[nodiscard]] Word elr_hyp() const noexcept { return elr_hyp_; }
-  void set_elr_hyp(Word pc) noexcept { elr_hyp_ = pc; }
-  [[nodiscard]] Cpsr spsr_hyp() const noexcept { return spsr_hyp_; }
-  void set_spsr_hyp(Cpsr cpsr) noexcept { spsr_hyp_ = cpsr; }
+  [[nodiscard]] Syndrome hsr() const noexcept { return state_.hsr; }
+  void set_hsr(Syndrome hsr) noexcept { state_.hsr = hsr; }
+  [[nodiscard]] Word elr_hyp() const noexcept { return state_.elr_hyp; }
+  void set_elr_hyp(Word pc) noexcept { state_.elr_hyp = pc; }
+  [[nodiscard]] Cpsr spsr_hyp() const noexcept { return state_.spsr_hyp; }
+  void set_spsr_hyp(Cpsr cpsr) noexcept { state_.spsr_hyp = cpsr; }
 
   /// Per-core HYP stack bounds; the trap-context pointer always lies in
   /// this window on an uncorrupted entry, which is what the hypervisor's
@@ -112,9 +112,11 @@ class Cpu {
   [[nodiscard]] Word expected_percpu() const noexcept { return percpu_base(id_); }
 
   // --- power FSM --------------------------------------------------------
-  [[nodiscard]] PowerState power_state() const noexcept { return state_; }
-  [[nodiscard]] bool is_online() const noexcept { return state_ == PowerState::On; }
-  [[nodiscard]] bool is_parked() const noexcept { return state_ == PowerState::Parked; }
+  [[nodiscard]] PowerState power_state() const noexcept { return state_.power; }
+  [[nodiscard]] bool is_online() const noexcept { return state_.power == PowerState::On; }
+  [[nodiscard]] bool is_parked() const noexcept {
+    return state_.power == PowerState::Parked;
+  }
 
   /// PSCI-style CPU_ON: Off/Failed → Booting at `entry`. EBUSY if running.
   util::Status power_on(Word entry) noexcept;
@@ -133,56 +135,10 @@ class Cpu {
   /// PSCI-style CPU_OFF / cell destruction: any state → Off, state cleared.
   void power_off() noexcept;
 
-  [[nodiscard]] const std::string& halt_reason() const noexcept { return halt_reason_; }
-  [[nodiscard]] Word entry_point() const noexcept { return entry_point_; }
-
-  // --- snapshot / restore (testbed warm-start) --------------------------
-  /// Everything run-mutable on a core: a restore_from() of a snapshot
-  /// taken at state S makes the core observably identical to when S was
-  /// captured (S = construction gives the power-on core).
-  struct Snapshot {
-    RegisterBank regs{};
-    Cpsr cpsr{};
-    Syndrome hsr{};
-    Word elr_hyp = 0;
-    Cpsr spsr_hyp{};
-    PowerState state = PowerState::Off;
-    Word entry_point = 0;
-    std::string halt_reason;
-    std::uint64_t trap_entries = 0;
-    std::uint64_t hvc_entries = 0;
-    std::uint64_t irq_entries = 0;
-
-    bool operator==(const Snapshot&) const = default;
-  };
-
-  void snapshot_to(Snapshot& out) const {
-    out.regs = regs_;
-    out.cpsr = cpsr_;
-    out.hsr = hsr_;
-    out.elr_hyp = elr_hyp_;
-    out.spsr_hyp = spsr_hyp_;
-    out.state = state_;
-    out.entry_point = entry_point_;
-    out.halt_reason = halt_reason_;
-    out.trap_entries = trap_entries;
-    out.hvc_entries = hvc_entries;
-    out.irq_entries = irq_entries;
+  [[nodiscard]] const std::string& halt_reason() const noexcept {
+    return state_.halt_reason;
   }
-
-  void restore_from(const Snapshot& snapshot) {
-    regs_ = snapshot.regs;
-    cpsr_ = snapshot.cpsr;
-    hsr_ = snapshot.hsr;
-    elr_hyp_ = snapshot.elr_hyp;
-    spsr_hyp_ = snapshot.spsr_hyp;
-    state_ = snapshot.state;
-    entry_point_ = snapshot.entry_point;
-    halt_reason_ = snapshot.halt_reason;
-    trap_entries = snapshot.trap_entries;
-    hvc_entries = snapshot.hvc_entries;
-    irq_entries = snapshot.irq_entries;
-  }
+  [[nodiscard]] Word entry_point() const noexcept { return state_.entry_point; }
 
   // --- entry frames -----------------------------------------------------
   /// Build the architecturally-correct entry frame for a hypervisor trap
@@ -192,20 +148,44 @@ class Cpu {
   [[nodiscard]] EntryFrame make_trap_frame(Syndrome hsr) const;
 
   // --- bookkeeping used by profiling (golden runs) ----------------------
-  std::uint64_t trap_entries = 0;  ///< arch_handle_trap invocations
-  std::uint64_t hvc_entries = 0;   ///< arch_handle_hvc invocations
-  std::uint64_t irq_entries = 0;   ///< irqchip_handle_irq invocations
+  /// arch_handle_trap / arch_handle_hvc / irqchip_handle_irq invocations.
+  [[nodiscard]] std::uint64_t trap_entries() const noexcept {
+    return state_.trap_entries;
+  }
+  [[nodiscard]] std::uint64_t hvc_entries() const noexcept { return state_.hvc_entries; }
+  [[nodiscard]] std::uint64_t irq_entries() const noexcept { return state_.irq_entries; }
+  void count_trap_entry() noexcept { ++state_.trap_entries; }
+  void count_hvc_entry() noexcept { ++state_.hvc_entries; }
+  void count_irq_entry() noexcept { ++state_.irq_entries; }
+
+  // --- snapshot / restore (testbed warm-start) --------------------------
+  /// Everything run-mutable on a core, declared once: the state block is
+  /// the snapshot, so a restore_from() of a snapshot taken at state S
+  /// makes the core observably identical to when S was captured
+  /// (S = construction gives the power-on core).
+  struct State {
+    RegisterBank regs{};
+    Cpsr cpsr{};
+    Syndrome hsr{};
+    Word elr_hyp = 0;
+    Cpsr spsr_hyp{};
+    PowerState power = PowerState::Off;
+    Word entry_point = 0;
+    std::string halt_reason;
+    std::uint64_t trap_entries = 0;
+    std::uint64_t hvc_entries = 0;
+    std::uint64_t irq_entries = 0;
+
+    bool operator==(const State&) const = default;
+  };
+  using Snapshot = State;
+
+  void snapshot_to(Snapshot& out) const { out = state_; }
+  void restore_from(const Snapshot& snapshot) { state_ = snapshot; }
 
  private:
   int id_;
-  RegisterBank regs_{};
-  Cpsr cpsr_{};
-  Syndrome hsr_{};
-  Word elr_hyp_ = 0;
-  Cpsr spsr_hyp_{};
-  PowerState state_ = PowerState::Off;
-  Word entry_point_ = 0;
-  std::string halt_reason_;
+  State state_;
 };
 
 }  // namespace mcs::arch

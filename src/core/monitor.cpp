@@ -8,7 +8,7 @@ void RunMonitor::begin(Testbed& testbed) {
   led_mark_ = testbed.board().gpio().led_toggles();
   validated_mark_ = testbed.freertos().messages_validated();
   jh::Cell* workload = testbed.workload_cell();
-  workload_console_mark_ = workload != nullptr ? workload->console_bytes : 0;
+  workload_console_mark_ = workload != nullptr ? workload->console_bytes() : 0;
 }
 
 // The monitored workload cell is whatever the scenario last booted on the
@@ -147,7 +147,7 @@ RunResult RunMonitor::finish(Testbed& testbed) const {
   //    output. Single-cell deployments keep the USART observable the
   //    paper's analysts watched.
   const std::uint64_t live_bytes =
-      secondary != nullptr ? cell->console_bytes - workload_console_mark_
+      secondary != nullptr ? cell->console_bytes() - workload_console_mark_
                            : result.uart1_bytes;
   if (live_bytes >= kLiveOutputThreshold) {
     result.outcome = Outcome::Correct;

@@ -31,12 +31,7 @@ void Testbed::capture_to(TestbedSnapshot& out) {
   linux_.snapshot_to(out.linux_root);
   freertos_.snapshot_to(out.freertos);
   osek_.snapshot_to(out.osek);
-  out.cell_id = cell_id_;
-  out.secondary_cell_id = secondary_cell_id_;
-  out.enabled = enabled_;
-  out.ivshmem = ivshmem_;
-  out.tuning = tuning_;
-  out.ivshmem_stats = ivshmem_stats_;
+  out.state = state_;
   out.arena_mark = run_arena_.mark();
   out.bytes = out.board.dram.bytes();
 }
@@ -63,22 +58,17 @@ void Testbed::restore(const TestbedSnapshot& snapshot) {
   linux_.restore_from(snapshot.linux_root);
   freertos_.restore_from(snapshot.freertos);
   osek_.restore_from(snapshot.osek);
-  cell_id_ = snapshot.cell_id;
-  secondary_cell_id_ = snapshot.secondary_cell_id;
-  enabled_ = snapshot.enabled;
-  ivshmem_ = snapshot.ivshmem;
-  tuning_ = snapshot.tuning;
-  ivshmem_stats_ = snapshot.ivshmem_stats;
+  state_ = snapshot.state;
 }
 
 util::Status Testbed::enable_hypervisor() {
-  if (enabled_) return util::ok_status();
+  if (state_.enabled) return util::ok_status();
   MCS_RETURN_IF_ERROR(hv_.enable(jh::make_root_cell_config(board_->spec())));
   machine_.bind_guest(jh::kRootCellId, linux_);
   jh::CellConfig freertos_config = jh::make_freertos_cell_config();
   jh::CellConfig osek_config = jh::make_osek_cell_config(osek_cpu());
-  jh::apply_cell_tuning(freertos_config, tuning_);
-  jh::apply_cell_tuning(osek_config, tuning_);
+  jh::apply_cell_tuning(freertos_config, state_.tuning);
+  jh::apply_cell_tuning(osek_config, state_.tuning);
   if (supports_concurrent_cells()) {
     // Both non-root cells can be resident at once on this board, and
     // there is exactly one spare USART and one PIO block between them:
@@ -96,7 +86,7 @@ util::Status Testbed::enable_hypervisor() {
     share_io_windows(freertos_config);
     share_io_windows(osek_config);
   }
-  if (ivshmem_) {
+  if (state_.ivshmem) {
     // Both non-root cells map the whole ROOTSHARED window; the create
     // path leaves shared windows resident in the root map, so two
     // concurrent cells can both declare it.
@@ -105,7 +95,7 @@ util::Status Testbed::enable_hypervisor() {
   }
   hv_.register_config(kFreeRtosConfigAddr, std::move(freertos_config));
   hv_.register_config(kOsekConfigAddr, std::move(osek_config));
-  enabled_ = true;
+  state_.enabled = true;
   return util::ok_status();
 }
 
@@ -113,11 +103,11 @@ void Testbed::boot_cell(std::uint64_t config_addr, jh::GuestImage& image) {
   // The driver issues create, the shell reads back the id, then start.
   linux_.cell_create(static_cast<std::uint32_t>(config_addr));
   run(5);  // a few ms for the ioctl round-trip
-  cell_id_ = linux_.last_created_cell();
-  if (cell_id_ != 0) {
-    machine_.bind_guest(cell_id_, image);
-    linux_.set_monitored_cell(cell_id_);
-    linux_.cell_start(cell_id_);
+  state_.cell_id = linux_.last_created_cell();
+  if (state_.cell_id != 0) {
+    machine_.bind_guest(state_.cell_id, image);
+    linux_.set_monitored_cell(state_.cell_id);
+    linux_.cell_start(state_.cell_id);
   } else {
     // Create failed (e.g. under injection): still attempt a start so the
     // failure is recorded the way the real shell script would.
@@ -132,9 +122,9 @@ void Testbed::boot_secondary_osek_cell() {
   run(5);
   const std::uint32_t created = linux_.last_created_cell();
   if (created != 0 && created != created_before) {
-    secondary_cell_id_ = created;
-    machine_.bind_guest(secondary_cell_id_, osek_);
-    linux_.cell_start(secondary_cell_id_);
+    state_.secondary_cell_id = created;
+    machine_.bind_guest(state_.secondary_cell_id, osek_);
+    linux_.cell_start(state_.secondary_cell_id);
   } else {
     linux_.cell_start(0);
   }
@@ -142,17 +132,17 @@ void Testbed::boot_secondary_osek_cell() {
 }
 
 void Testbed::shutdown_workload_cell() {
-  if (cell_id_ == 0) return;
-  linux_.cell_shutdown(cell_id_);
+  if (state_.cell_id == 0) return;
+  linux_.cell_shutdown(state_.cell_id);
   run(10);
 }
 
 void Testbed::destroy_workload_cell() {
-  if (cell_id_ == 0) return;
-  linux_.cell_destroy(cell_id_);
+  if (state_.cell_id == 0) return;
+  linux_.cell_destroy(state_.cell_id);
   run(10);
-  machine_.unbind_guest(cell_id_);
-  cell_id_ = 0;
+  machine_.unbind_guest(state_.cell_id);
+  state_.cell_id = 0;
 }
 
 void Testbed::run(std::uint64_t ticks) { machine_.run_ticks(ticks); }
@@ -176,7 +166,7 @@ Testbed::GoldenProfile Testbed::profile_golden(std::uint64_t ticks) {
   std::uint64_t* traps_before =
       run_arena_.allocate_array<std::uint64_t>(static_cast<std::size_t>(cpus));
   for (int cpu = 0; cpu < cpus; ++cpu) {
-    traps_before[static_cast<std::size_t>(cpu)] = board_->cpu(cpu).trap_entries;
+    traps_before[static_cast<std::size_t>(cpu)] = board_->cpu(cpu).trap_entries();
   }
   run(ticks);
   const jh::Counters& after = hv_.counters();
@@ -187,7 +177,7 @@ Testbed::GoldenProfile Testbed::profile_golden(std::uint64_t ticks) {
   profile.per_cpu_traps.resize(static_cast<std::size_t>(cpus));
   for (int cpu = 0; cpu < cpus; ++cpu) {
     profile.per_cpu_traps[static_cast<std::size_t>(cpu)] =
-        board_->cpu(cpu).trap_entries - traps_before[static_cast<std::size_t>(cpu)];
+        board_->cpu(cpu).trap_entries() - traps_before[static_cast<std::size_t>(cpu)];
   }
   return profile;
 }

@@ -53,7 +53,20 @@ struct IvshmemTrafficStats {
   bool operator==(const IvshmemTrafficStats&) const = default;
 };
 
-/// Everything a run can mutate — the single statement of testbed state.
+/// The testbed's own bookkeeping, declared once.
+struct TestbedState {
+  jh::CellId cell_id = 0;
+  jh::CellId secondary_cell_id = 0;
+  bool enabled = false;
+  bool ivshmem = false;
+  jh::CellTuning tuning;
+  IvshmemTrafficStats ivshmem_stats;
+
+  bool operator==(const TestbedState&) const = default;
+};
+
+/// Everything a run can mutate — the single statement of testbed state:
+/// each model's state block (its snapshot) plus the testbed's own.
 /// A testbed holds two images of it: the power-on image, captured once at
 /// construction and restored by Testbed::reset(), and an optional
 /// post-boot image, captured after a slot's first boot for a given
@@ -71,14 +84,7 @@ struct TestbedSnapshot {
   guest::LinuxRootImage::Snapshot linux_root;
   guest::FreeRtosImage::Snapshot freertos;
   guest::OsekImage::Snapshot osek;
-
-  // Testbed bookkeeping.
-  jh::CellId cell_id = 0;
-  jh::CellId secondary_cell_id = 0;
-  bool enabled = false;
-  bool ivshmem = false;
-  jh::CellTuning tuning;
-  IvshmemTrafficStats ivshmem_stats;
+  TestbedState state;
 
   util::Arena::Mark arena_mark{};  ///< run-arena fill level owned by the snapshot
   std::string key;                 ///< identity: board\x1ftuning\x1fscenario
@@ -152,13 +158,13 @@ class Testbed {
 
   /// Workload-cell tuning (RAM size, console kind) applied to the staged
   /// non-root cell configs. Must be set before enable_hypervisor().
-  void set_cell_tuning(const jh::CellTuning& tuning) { tuning_ = tuning; }
+  void set_cell_tuning(const jh::CellTuning& tuning) { state_.tuning = tuning; }
 
   /// Stage the ivshmem shared window in both non-root cell configs so two
   /// concurrent cells can exchange doorbell + shared-memory traffic. Must
   /// be set before enable_hypervisor().
-  void set_ivshmem(bool enabled) noexcept { ivshmem_ = enabled; }
-  [[nodiscard]] bool ivshmem_enabled() const noexcept { return ivshmem_; }
+  void set_ivshmem(bool enabled) noexcept { state_.ivshmem = enabled; }
+  [[nodiscard]] bool ivshmem_enabled() const noexcept { return state_.ivshmem; }
 
   /// Time-advance policy for the underlying machine. The power-on image
   /// is EventDriven, so reset() restores it; TickPolicy::PerTick forces
@@ -238,28 +244,31 @@ class Testbed {
 
   /// Cell id of the current workload (non-root) cell — 0 while none has
   /// been created. Scenarios that swap payloads retarget this on re-boot.
-  [[nodiscard]] jh::CellId workload_cell_id() const noexcept { return cell_id_; }
+  [[nodiscard]] jh::CellId workload_cell_id() const noexcept { return state_.cell_id; }
   [[nodiscard]] jh::Cell* workload_cell() noexcept {
-    return cell_id_ == 0 ? nullptr : hv_.find_cell(cell_id_);
+    return state_.cell_id == 0 ? nullptr : hv_.find_cell(state_.cell_id);
   }
 
   /// The secondary (concurrent) non-root cell — 0/nullptr while none.
   [[nodiscard]] jh::CellId secondary_cell_id() const noexcept {
-    return secondary_cell_id_;
+    return state_.secondary_cell_id;
   }
   [[nodiscard]] jh::Cell* secondary_cell() noexcept {
-    return secondary_cell_id_ == 0 ? nullptr : hv_.find_cell(secondary_cell_id_);
+    return state_.secondary_cell_id == 0 ? nullptr
+                                         : hv_.find_cell(state_.secondary_cell_id);
   }
 
   /// Cross-cell traffic bookkeeping (mutated by the ivshmem-traffic
   /// scenario, read by the monitor's classification).
-  [[nodiscard]] IvshmemTrafficStats& ivshmem_stats() noexcept { return ivshmem_stats_; }
+  [[nodiscard]] IvshmemTrafficStats& ivshmem_stats() noexcept {
+    return state_.ivshmem_stats;
+  }
   [[nodiscard]] const IvshmemTrafficStats& ivshmem_stats() const noexcept {
-    return ivshmem_stats_;
+    return state_.ivshmem_stats;
   }
 
   // Legacy names; the FreeRTOS cell is the default workload.
-  [[nodiscard]] jh::CellId freertos_cell_id() const noexcept { return cell_id_; }
+  [[nodiscard]] jh::CellId freertos_cell_id() const noexcept { return state_.cell_id; }
   [[nodiscard]] jh::Cell* freertos_cell() noexcept { return workload_cell(); }
 
   /// The CPU statically assigned to the primary non-root cell.
@@ -285,12 +294,7 @@ class Testbed {
   guest::LinuxRootImage linux_;
   guest::FreeRtosImage freertos_;
   guest::OsekImage osek_;
-  jh::CellId cell_id_ = 0;
-  jh::CellId secondary_cell_id_ = 0;
-  bool enabled_ = false;
-  bool ivshmem_ = false;
-  jh::CellTuning tuning_;
-  IvshmemTrafficStats ivshmem_stats_;
+  TestbedState state_;
   /// Per-run analysis scratch; 4 KiB covers the golden-profile buffers.
   /// Snapshot page payloads are placed at the base and survive rewinds.
   util::Arena run_arena_{4 * 1024};

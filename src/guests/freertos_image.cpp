@@ -42,51 +42,51 @@ void FreeRtosImage::on_start(jh::GuestContext& ctx) {
   // distributor (a trapped MMIO write, as on real Jailhouse).
   const std::uint32_t uart1_bit = 1u << (platform::kUart1Irq - 32);
   (void)ctx.mmio_write_u32(jh::kGicDistBase + 0x104, uart1_bit);
-  if (!spawned_) {
+  if (!state_.spawned) {
     spawn_workload();
-    spawned_ = true;
+    state_.spawned = true;
   }
   ctx.console_puts("scheduler started, " +
                    std::to_string(kernel_.task_count()) + " tasks\n");
 }
 
 void FreeRtosImage::spawn_workload() {
-  msg_queue_ = kernel_.create_queue(8);
+  state_.msg_queue = kernel_.create_queue(8);
 
   // 1) LED blink task — priority 3, 500 ms period (visible heartbeat).
   kernel_.add_task("blink", 3, [this](rtos::TaskContext& t) {
-    led_on_ = !led_on_;
-    t.guest.set_led(led_on_);
-    ++blinks_;
-    if (blinks_ % 4 == 0) {
-      t.guest.console_puts("blink " + std::to_string(blinks_) + "\n");
+    state_.led_on = !state_.led_on;
+    t.guest.set_led(state_.led_on);
+    ++state_.blinks;
+    if (state_.blinks % 4 == 0) {
+      t.guest.console_puts("blink " + std::to_string(state_.blinks) + "\n");
     }
     t.kernel.delay(t.self, 500);
   });
 
   // 2) Send/receive pair — priority 4, queue-coupled, checksum-validated.
   kernel_.add_task("tx", 4, [this](rtos::TaskContext& t) {
-    const std::uint32_t item = message_checksum(tx_seq_);
-    if (t.kernel.queue_send(t.self, msg_queue_, item)) {
-      ++tx_seq_;
+    const std::uint32_t item = message_checksum(state_.tx_seq);
+    if (t.kernel.queue_send(t.self, state_.msg_queue, item)) {
+      ++state_.tx_seq;
       t.kernel.delay(t.self, 20);
     }
     // If the queue was full the task is now blocked; retried on wake.
   });
   kernel_.add_task("rx", 4, [this](rtos::TaskContext& t) {
-    const auto item = t.kernel.queue_receive(t.self, msg_queue_);
+    const auto item = t.kernel.queue_receive(t.self, state_.msg_queue);
     if (!item.has_value()) return;  // blocked until data arrives
-    if (*item == message_checksum(rx_seq_)) {
-      ++rx_validated_;
-      if (rx_validated_ % 25 == 0) {
-        t.guest.console_puts("rx " + std::to_string(rx_validated_) + " ok\n");
+    if (*item == message_checksum(state_.rx_seq)) {
+      ++state_.rx_validated;
+      if (state_.rx_validated % 25 == 0) {
+        t.guest.console_puts("rx " + std::to_string(state_.rx_validated) + " ok\n");
       }
     } else {
-      ++data_errors_;
+      ++state_.data_errors;
       t.guest.console_puts("rx CHECKSUM ERROR at seq " +
-                           std::to_string(rx_seq_) + "\n");
+                           std::to_string(state_.rx_seq) + "\n");
     }
-    ++rx_seq_;
+    ++state_.rx_seq;
   });
 
   // 3) Two floating-point tasks — priority 2, periodically self-check
@@ -95,9 +95,9 @@ void FreeRtosImage::spawn_workload() {
     kernel_.add_task("fp" + std::to_string(fp), 2,
                      [this, fp](rtos::TaskContext& t) {
       const auto index = static_cast<std::size_t>(fp);
-      auto& acc = fp_accumulators_[index];
-      auto& shadow = fp_shadows_[index];
-      auto& iter = fp_iterations_[index];
+      auto& acc = state_.fp_accumulators[index];
+      auto& shadow = state_.fp_shadows[index];
+      auto& iter = state_.fp_iterations[index];
       // 32 accumulation steps per lap of a convergent series, applied to
       // the working accumulator and, in reverse association, to a shadow
       // copy. State corruption shows up as divergence between the two.
@@ -114,7 +114,7 @@ void FreeRtosImage::spawn_workload() {
       ++iter;
       if (iter % 50 == 0) {
         const bool ok = std::abs(shadow - acc) < 1e-9;
-        if (!ok) ++data_errors_;
+        if (!ok) ++state_.data_errors;
         t.guest.console_puts("fp" + std::to_string(fp) +
                              (ok ? " ok " : " BAD ") + std::to_string(iter) + "\n");
       }
@@ -137,14 +137,14 @@ void FreeRtosImage::spawn_workload() {
           auto primary = t.guest.ram_read_u32(addr);
           auto shadow = t.guest.ram_read_u32(shadow_addr);
           if (!primary.is_ok() || !shadow.is_ok()) {
-            ++data_errors_;
+            ++state_.data_errors;
             return;
           }
           std::uint32_t hash = primary.value();
           if (hash == 0) {  // first lap: seed both copies
             hash = 0x9e37'79b9u + static_cast<std::uint32_t>(n);
           } else if (hash != shadow.value()) {
-            ++data_errors_;
+            ++state_.data_errors;
             t.guest.console_puts("int" + std::to_string(n) + " MISMATCH\n");
             // Recover by majority-of-one: rewrite both from the primary.
           }
@@ -153,8 +153,8 @@ void FreeRtosImage::spawn_workload() {
           }
           (void)t.guest.ram_write_u32(addr, hash);
           (void)t.guest.ram_write_u32(shadow_addr, hash);
-          ++int_iterations_[index];
-          if (int_iterations_[index] % 40 == 0) {
+          ++state_.int_iterations[index];
+          if (state_.int_iterations[index] % 40 == 0) {
             t.guest.console_puts("int" + std::to_string(n) + " ok\n");
           }
           t.kernel.delay(t.self, 25 + static_cast<std::uint64_t>(n) * 3);
@@ -168,19 +168,19 @@ void FreeRtosImage::run_quantum(jh::GuestContext& ctx) {
   for (int slice = 0; slice < 3; ++slice) {
     if (!kernel_.run_slice(ctx).has_value()) break;
   }
-  ++heartbeat_counter_;
+  ++state_.heartbeat_counter;
   // Periodic hypervisor heartbeat through the debug console hypercall —
   // the cell's arch_handle_hvc() traffic. Together with the GICD poke
   // below this yields ~120 HYP trap entries per minute on the cell CPU,
   // the traffic level the medium campaign's 1-per-100-calls rate samples.
-  if (heartbeat_counter_ % 750 == 0) {
+  if (state_.heartbeat_counter % 750 == 0) {
     (void)ctx.hypercall(static_cast<std::uint32_t>(jh::Hypercall::DebugConsolePutc),
                         static_cast<std::uint32_t>('.'));
   }
   // Periodic interrupt-controller maintenance: read back the SPI enable
   // bank through the *virtualised* GIC distributor — a trapped MMIO read
   // (stage-2 data abort, EC 0x24) emulated by the hypervisor.
-  if (heartbeat_counter_ % 1500 == 500) {
+  if (state_.heartbeat_counter % 1500 == 500) {
     (void)ctx.mmio_read_u32(jh::kGicDistBase + 0x104);
   }
 }
@@ -194,13 +194,13 @@ void FreeRtosImage::on_irq(jh::GuestContext& ctx, std::uint32_t irq) {
   (void)ctx;
   if (irq == jh::kIvshmemDoorbellSgi) {
     // ivshmem peer rang: a receiver task would drain the ring here.
-    ++doorbells_;
+    ++state_.doorbells;
     return;
   }
   // The paper's workload owns no other device interrupts beyond the tick;
   // a delivered unknown vector is counted and ignored (predictable error
   // handling, as §III expects from corrupted IRQ vectors).
-  ++unknown_irqs_;
+  ++state_.unknown_irqs;
 }
 
 }  // namespace mcs::guest

@@ -33,13 +33,15 @@ class FreeRtosImage final : public jh::GuestImage {
   [[nodiscard]] const rtos::Kernel& kernel() const noexcept { return kernel_; }
 
   // --- workload health counters (read by tests and the run monitor) ------
-  [[nodiscard]] std::uint64_t blink_count() const noexcept { return blinks_; }
+  [[nodiscard]] std::uint64_t blink_count() const noexcept { return state_.blinks; }
   [[nodiscard]] std::uint64_t messages_validated() const noexcept {
-    return rx_validated_;
+    return state_.rx_validated;
   }
-  [[nodiscard]] std::uint64_t data_errors() const noexcept { return data_errors_; }
-  [[nodiscard]] std::uint64_t unknown_irqs() const noexcept { return unknown_irqs_; }
-  [[nodiscard]] std::uint64_t doorbells() const noexcept { return doorbells_; }
+  [[nodiscard]] std::uint64_t data_errors() const noexcept { return state_.data_errors; }
+  [[nodiscard]] std::uint64_t unknown_irqs() const noexcept {
+    return state_.unknown_irqs;
+  }
+  [[nodiscard]] std::uint64_t doorbells() const noexcept { return state_.doorbells; }
 
   /// Tick period of the guest tick interrupt (1 board tick = 1 ms).
   static constexpr std::uint32_t kTickPeriod = 1;
@@ -55,10 +57,8 @@ class FreeRtosImage final : public jh::GuestImage {
   static constexpr std::uint64_t kShadowBase = 0x7800'2200;
 
   // --- snapshot / restore ------------------------------------------------
-  /// Restoring the power-on image (taken at construction) drops the task
-  /// set; on_start() re-spawns the workload.
-  struct Snapshot {
-    rtos::Kernel::Snapshot kernel;
+  /// The workload's own run-mutable fields, declared once.
+  struct State {
     bool spawned = false;
     bool led_on = false;
     rtos::QueueId msg_queue = 0;
@@ -75,45 +75,27 @@ class FreeRtosImage final : public jh::GuestImage {
     std::array<std::uint64_t, 2> fp_iterations{};
     std::array<std::uint64_t, kIntegerTasks> int_iterations{};
 
+    bool operator==(const State&) const = default;
+  };
+
+  /// Kernel state plus the workload's. Restoring the power-on image
+  /// (taken at construction) drops the task set; on_start() re-spawns
+  /// the workload.
+  struct Snapshot {
+    rtos::Kernel::Snapshot kernel;
+    State state;
+
     bool operator==(const Snapshot&) const = default;
   };
 
   void snapshot_to(Snapshot& out) const {
     kernel_.snapshot_to(out.kernel);
-    out.spawned = spawned_;
-    out.led_on = led_on_;
-    out.msg_queue = msg_queue_;
-    out.tx_seq = tx_seq_;
-    out.rx_seq = rx_seq_;
-    out.rx_validated = rx_validated_;
-    out.blinks = blinks_;
-    out.data_errors = data_errors_;
-    out.unknown_irqs = unknown_irqs_;
-    out.doorbells = doorbells_;
-    out.heartbeat_counter = heartbeat_counter_;
-    out.fp_accumulators = fp_accumulators_;
-    out.fp_shadows = fp_shadows_;
-    out.fp_iterations = fp_iterations_;
-    out.int_iterations = int_iterations_;
+    out.state = state_;
   }
 
   void restore_from(const Snapshot& snapshot) {
     kernel_.restore_from(snapshot.kernel);
-    spawned_ = snapshot.spawned;
-    led_on_ = snapshot.led_on;
-    msg_queue_ = snapshot.msg_queue;
-    tx_seq_ = snapshot.tx_seq;
-    rx_seq_ = snapshot.rx_seq;
-    rx_validated_ = snapshot.rx_validated;
-    blinks_ = snapshot.blinks;
-    data_errors_ = snapshot.data_errors;
-    unknown_irqs_ = snapshot.unknown_irqs;
-    doorbells_ = snapshot.doorbells;
-    heartbeat_counter_ = snapshot.heartbeat_counter;
-    fp_accumulators_ = snapshot.fp_accumulators;
-    fp_shadows_ = snapshot.fp_shadows;
-    fp_iterations_ = snapshot.fp_iterations;
-    int_iterations_ = snapshot.int_iterations;
+    state_ = snapshot.state;
   }
 
  private:
@@ -123,23 +105,7 @@ class FreeRtosImage final : public jh::GuestImage {
   [[nodiscard]] static std::uint32_t message_checksum(std::uint32_t seq) noexcept;
 
   rtos::Kernel kernel_;
-  bool spawned_ = false;
-  bool led_on_ = false;
-
-  rtos::QueueId msg_queue_ = 0;
-  std::uint32_t tx_seq_ = 0;
-  std::uint32_t rx_seq_ = 0;
-  std::uint64_t rx_validated_ = 0;
-  std::uint64_t blinks_ = 0;
-  std::uint64_t data_errors_ = 0;
-  std::uint64_t unknown_irqs_ = 0;
-  std::uint64_t doorbells_ = 0;
-  std::uint64_t heartbeat_counter_ = 0;
-
-  std::array<double, 2> fp_accumulators_{};
-  std::array<double, 2> fp_shadows_{};
-  std::array<std::uint64_t, 2> fp_iterations_{};
-  std::array<std::uint64_t, kIntegerTasks> int_iterations_{};
+  State state_;
 };
 
 }  // namespace mcs::guest

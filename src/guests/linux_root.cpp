@@ -13,9 +13,9 @@ void LinuxRootImage::on_start(jh::GuestContext& ctx) {
 }
 
 void LinuxRootImage::on_timer(jh::GuestContext& ctx) {
-  ++jiffies_;
-  if (jiffies_ % 500 == 0) {
-    ctx.console_puts("[root] jiffies " + std::to_string(jiffies_) + "\n");
+  ++state_.jiffies;
+  if (state_.jiffies % 500 == 0) {
+    ctx.console_puts("[root] jiffies " + std::to_string(state_.jiffies) + "\n");
   }
 }
 
@@ -30,12 +30,12 @@ void LinuxRootImage::run_quantum(jh::GuestContext& ctx) {
   // The jailhouse driver's ioctls and the management shell run on the
   // boot CPU; secondary root CPUs just run background load.
   if (ctx.cpu() != 0) return;
-  ++quantum_counter_;
+  ++state_.quantum_counter;
 
   // One management command per quantum: the driver's ioctl path.
-  if (!pending_.empty()) {
-    const MgmtCommand command = pending_.front();
-    pending_.pop_front();
+  if (!state_.pending.empty()) {
+    const MgmtCommand command = state_.pending.front();
+    state_.pending.pop_front();
     const jh::HvcResult result =
         ctx.hypercall(static_cast<std::uint32_t>(command.op), command.arg);
     records_.push_back(
@@ -47,7 +47,7 @@ void LinuxRootImage::run_quantum(jh::GuestContext& ctx) {
     ctx.console_puts("jailhouse " + std::string(hypercall_name(command.op)) +
                      " -> " + verdict + " (" + std::to_string(result) + ")\n");
     if (command.op == jh::Hypercall::CellCreate && result > 0) {
-      last_created_cell_ = static_cast<std::uint32_t>(result);
+      state_.last_created_cell = static_cast<std::uint32_t>(result);
     }
     return;
   }
@@ -55,9 +55,9 @@ void LinuxRootImage::run_quantum(jh::GuestContext& ctx) {
   // Steady-state root workload: poll the monitored cell's state every
   // 50 ms (`jailhouse cell list` in a watch loop) — the root cell's
   // arch_handle_hvc() traffic for root-targeted campaigns.
-  if (monitored_cell_ != 0 && quantum_counter_ % 50 == 0) {
-    last_poll_state_ = ctx.hypercall(
-        static_cast<std::uint32_t>(jh::Hypercall::CellGetState), monitored_cell_);
+  if (state_.monitored_cell != 0 && state_.quantum_counter % 50 == 0) {
+    state_.last_poll_state = ctx.hypercall(
+        static_cast<std::uint32_t>(jh::Hypercall::CellGetState), state_.monitored_cell);
   }
 }
 

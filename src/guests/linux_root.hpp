@@ -44,7 +44,7 @@ class LinuxRootImage final : public jh::GuestImage {
   void on_timer(jh::GuestContext& ctx) override;
 
   // --- management interface (the `jailhouse` CLI) ------------------------
-  void enqueue(MgmtCommand command) { pending_.push_back(command); }
+  void enqueue(MgmtCommand command) { state_.pending.push_back(command); }
   void cell_create(std::uint32_t config_addr) {
     enqueue({jh::Hypercall::CellCreate, config_addr});
   }
@@ -59,69 +59,61 @@ class LinuxRootImage final : public jh::GuestImage {
   [[nodiscard]] const std::vector<MgmtRecord>& records() const noexcept {
     return records_;
   }
-  [[nodiscard]] bool idle() const noexcept { return pending_.empty(); }
+  [[nodiscard]] bool idle() const noexcept { return state_.pending.empty(); }
 
   /// Last result for an op, or ENOSYS when never issued.
   [[nodiscard]] jh::HvcResult last_result(jh::Hypercall op) const noexcept;
 
   /// Id returned by the most recent successful cell create (0 = none).
   [[nodiscard]] std::uint32_t last_created_cell() const noexcept {
-    return last_created_cell_;
+    return state_.last_created_cell;
   }
 
   /// Periodic `jailhouse cell list` polling target (0 disables polling).
-  void set_monitored_cell(std::uint32_t id) noexcept { monitored_cell_ = id; }
+  void set_monitored_cell(std::uint32_t id) noexcept { state_.monitored_cell = id; }
   [[nodiscard]] jh::HvcResult last_poll_state() const noexcept {
-    return last_poll_state_;
+    return state_.last_poll_state;
   }
 
-  [[nodiscard]] std::uint64_t jiffies() const noexcept { return jiffies_; }
+  [[nodiscard]] std::uint64_t jiffies() const noexcept { return state_.jiffies; }
 
   // --- snapshot / restore ------------------------------------------------
-  /// The record vector is append-only between restores, so it snapshots
-  /// as a length and restores by truncation (to empty for the power-on
-  /// image; capacity kept).
-  struct Snapshot {
-    std::vector<MgmtCommand> pending;
-    std::size_t record_count = 0;
+  /// The root image's run-mutable fields (command queue, last results,
+  /// jiffies), declared once.
+  struct State {
+    std::deque<MgmtCommand> pending;
     std::uint32_t last_created_cell = 0;
     std::uint32_t monitored_cell = 0;
     jh::HvcResult last_poll_state = jh::kHvcENoEnt;
     std::uint64_t jiffies = 0;
     std::uint64_t quantum_counter = 0;
 
+    bool operator==(const State&) const = default;
+  };
+
+  /// The record vector is append-only between restores, so it snapshots
+  /// as a length and restores by truncation (to empty for the power-on
+  /// image; capacity kept).
+  struct Snapshot {
+    State state;
+    std::size_t record_count = 0;
+
     bool operator==(const Snapshot&) const = default;
   };
 
   void snapshot_to(Snapshot& out) const {
-    out.pending.assign(pending_.begin(), pending_.end());
+    out.state = state_;
     out.record_count = records_.size();
-    out.last_created_cell = last_created_cell_;
-    out.monitored_cell = monitored_cell_;
-    out.last_poll_state = last_poll_state_;
-    out.jiffies = jiffies_;
-    out.quantum_counter = quantum_counter_;
   }
 
   void restore_from(const Snapshot& snapshot) {
-    pending_.clear();  // keeps the deque's blocks: the refill allocates nothing
-    for (const MgmtCommand& command : snapshot.pending) pending_.push_back(command);
+    state_ = snapshot.state;
     if (records_.size() > snapshot.record_count) records_.resize(snapshot.record_count);
-    last_created_cell_ = snapshot.last_created_cell;
-    monitored_cell_ = snapshot.monitored_cell;
-    last_poll_state_ = snapshot.last_poll_state;
-    jiffies_ = snapshot.jiffies;
-    quantum_counter_ = snapshot.quantum_counter;
   }
 
  private:
-  std::deque<MgmtCommand> pending_;
+  State state_;
   std::vector<MgmtRecord> records_;
-  std::uint32_t last_created_cell_ = 0;
-  std::uint32_t monitored_cell_ = 0;
-  jh::HvcResult last_poll_state_ = jh::kHvcENoEnt;
-  std::uint64_t jiffies_ = 0;
-  std::uint64_t quantum_counter_ = 0;
 };
 
 }  // namespace mcs::guest

@@ -14,25 +14,22 @@ std::string_view status_name(Status status) noexcept {
 }
 
 TaskId Os::declare_task(std::string name, unsigned priority, TaskBody body) {
-  Task task;
-  task.name = std::move(name);
-  task.priority = priority;
-  task.body = std::move(body);
-  tasks_.push_back(std::move(task));
+  tasks_.push_back({std::move(name), std::move(body)});
+  TaskData data;
+  data.priority = priority;
+  state_.tasks.push_back(data);
   return tasks_.size() - 1;
 }
 
 AlarmId Os::declare_alarm(std::string name, TaskId activates) {
-  Alarm alarm;
-  alarm.name = std::move(name);
-  alarm.activates = activates;
-  alarms_.push_back(std::move(alarm));
+  alarms_.push_back({std::move(name), activates});
+  state_.alarms.emplace_back();
   return alarms_.size() - 1;
 }
 
 Status Os::activate_task(TaskId task) {
-  if (task >= tasks_.size()) return Status::E_OS_ID;
-  Task& t = tasks_[task];
+  if (task >= state_.tasks.size()) return Status::E_OS_ID;
+  TaskData& t = state_.tasks[task];
   if (t.state == TaskState::Suspended) {
     t.state = TaskState::Ready;
     return Status::E_OK;
@@ -44,41 +41,42 @@ Status Os::activate_task(TaskId task) {
 }
 
 Status Os::chain_task(TaskContext& ctx, TaskId next) {
-  if (next >= tasks_.size()) return Status::E_OS_ID;
-  if (ctx.self >= tasks_.size() ||
-      tasks_[ctx.self].state != TaskState::Running) {
+  if (next >= state_.tasks.size()) return Status::E_OS_ID;
+  if (ctx.self >= state_.tasks.size() ||
+      state_.tasks[ctx.self].state != TaskState::Running) {
     return Status::E_OS_STATE;
   }
-  tasks_[ctx.self].chained = true;
+  state_.tasks[ctx.self].chained = true;
   // Chaining to self is the OSEK idiom for "run me again".
   return activate_task(next);
 }
 
 Status Os::set_rel_alarm(AlarmId alarm, std::uint64_t offset,
                          std::uint64_t cycle) {
-  if (alarm >= alarms_.size()) return Status::E_OS_ID;
-  Alarm& a = alarms_[alarm];
+  if (alarm >= state_.alarms.size()) return Status::E_OS_ID;
+  AlarmData& a = state_.alarms[alarm];
   if (a.armed) return Status::E_OS_STATE;
   a.armed = true;
-  a.expires_at = counter_ + (offset == 0 ? 1 : offset);
+  a.expires_at = state_.counter + (offset == 0 ? 1 : offset);
   a.cycle = cycle;
   return Status::E_OK;
 }
 
 Status Os::cancel_alarm(AlarmId alarm) {
-  if (alarm >= alarms_.size()) return Status::E_OS_ID;
-  if (!alarms_[alarm].armed) return Status::E_OS_NOFUNC;
-  alarms_[alarm].armed = false;
+  if (alarm >= state_.alarms.size()) return Status::E_OS_ID;
+  if (!state_.alarms[alarm].armed) return Status::E_OS_NOFUNC;
+  state_.alarms[alarm].armed = false;
   return Status::E_OK;
 }
 
 void Os::on_counter_tick() {
-  ++counter_;
-  for (Alarm& alarm : alarms_) {
-    if (!alarm.armed || alarm.expires_at != counter_) continue;
-    (void)activate_task(alarm.activates);  // E_OS_LIMIT drops are per spec
+  ++state_.counter;
+  for (std::size_t i = 0; i < state_.alarms.size(); ++i) {
+    AlarmData& alarm = state_.alarms[i];
+    if (!alarm.armed || alarm.expires_at != state_.counter) continue;
+    (void)activate_task(alarms_[i].activates);  // E_OS_LIMIT drops are per spec
     if (alarm.cycle != 0) {
-      alarm.expires_at = counter_ + alarm.cycle;
+      alarm.expires_at = state_.counter + alarm.cycle;
     } else {
       alarm.armed = false;
     }
@@ -88,21 +86,21 @@ void Os::on_counter_tick() {
 std::optional<TaskId> Os::dispatch() {
   TaskId best = 0;
   bool found = false;
-  for (TaskId id = 0; id < tasks_.size(); ++id) {
-    if (tasks_[id].state != TaskState::Ready) continue;
-    if (!found || tasks_[id].priority > tasks_[best].priority) {
+  for (TaskId id = 0; id < state_.tasks.size(); ++id) {
+    if (state_.tasks[id].state != TaskState::Ready) continue;
+    if (!found || state_.tasks[id].priority > state_.tasks[best].priority) {
       best = id;
       found = true;
     }
   }
   if (!found) return std::nullopt;
 
-  Task& task = tasks_[best];
+  TaskData& task = state_.tasks[best];
   task.state = TaskState::Running;
   ++task.activations;
-  ++dispatches_;
+  ++state_.dispatches;
   TaskContext ctx{*this, best};
-  task.body(ctx);
+  tasks_[best].body(ctx);
   // TerminateTask semantics: the body ran to completion.
   task.state = TaskState::Suspended;
   task.chained = false;
@@ -114,11 +112,11 @@ std::optional<TaskId> Os::dispatch() {
 }
 
 TaskState Os::task_state(TaskId task) const {
-  return task < tasks_.size() ? tasks_[task].state : TaskState::Suspended;
+  return task < state_.tasks.size() ? state_.tasks[task].state : TaskState::Suspended;
 }
 
 std::uint64_t Os::activations(TaskId task) const {
-  return task < tasks_.size() ? tasks_[task].activations : 0;
+  return task < state_.tasks.size() ? state_.tasks[task].activations : 0;
 }
 
 std::optional<TaskId> Os::find_task(std::string_view name) const {
@@ -128,45 +126,8 @@ std::optional<TaskId> Os::find_task(std::string_view name) const {
   return std::nullopt;
 }
 
-void Os::snapshot_to(Snapshot& out) const {
-  out.tasks.resize(tasks_.size());
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    const Task& task = tasks_[i];
-    out.tasks[i] = {task.state, task.pending, task.activations, task.chained};
-  }
-  out.alarms.resize(alarms_.size());
-  for (std::size_t i = 0; i < alarms_.size(); ++i) {
-    const Alarm& alarm = alarms_[i];
-    out.alarms[i] = {alarm.armed, alarm.expires_at, alarm.cycle};
-  }
-  out.counter = counter_;
-  out.dispatches = dispatches_;
-}
-
-void Os::restore_from(const Snapshot& snapshot) {
-  if (tasks_.size() > snapshot.tasks.size()) tasks_.resize(snapshot.tasks.size());
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    const Snapshot::TaskData& data = snapshot.tasks[i];
-    Task& task = tasks_[i];
-    task.state = data.state;
-    task.pending = data.pending;
-    task.activations = data.activations;
-    task.chained = data.chained;
-  }
-  if (alarms_.size() > snapshot.alarms.size()) alarms_.resize(snapshot.alarms.size());
-  for (std::size_t i = 0; i < alarms_.size(); ++i) {
-    const Snapshot::AlarmData& data = snapshot.alarms[i];
-    Alarm& alarm = alarms_[i];
-    alarm.armed = data.armed;
-    alarm.expires_at = data.expires_at;
-    alarm.cycle = data.cycle;
-  }
-  counter_ = snapshot.counter;
-  dispatches_ = snapshot.dispatches;
-}
-
 bool Os::invariants_hold() const noexcept {
-  for (const Task& task : tasks_) {
+  for (const TaskData& task : state_.tasks) {
     if (task.state == TaskState::Running) return false;  // between dispatches
     if (task.pending && task.state == TaskState::Suspended) return false;
   }

@@ -14,6 +14,7 @@
 // it attractive for ASIL partitions.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -76,8 +77,8 @@ class Os {
   [[nodiscard]] std::size_t task_count() const noexcept { return tasks_.size(); }
   [[nodiscard]] TaskState task_state(TaskId task) const;
   [[nodiscard]] std::uint64_t activations(TaskId task) const;
-  [[nodiscard]] std::uint64_t dispatches() const noexcept { return dispatches_; }
-  [[nodiscard]] std::uint64_t counter() const noexcept { return counter_; }
+  [[nodiscard]] std::uint64_t dispatches() const noexcept { return state_.dispatches; }
+  [[nodiscard]] std::uint64_t counter() const noexcept { return state_.counter; }
   [[nodiscard]] std::optional<TaskId> find_task(std::string_view name) const;
 
   /// OSEK invariants: at most one Running task (none between dispatches),
@@ -85,61 +86,65 @@ class Os {
   [[nodiscard]] bool invariants_hold() const noexcept;
 
   // --- snapshot / restore ------------------------------------------------
-  /// Tasks and alarms are declared only at configuration time
-  /// (pre-capture), so the snapshot stores their mutable fields by index;
-  /// restore truncates to the captured counts and rewinds in place —
-  /// names, priorities and body closures are never copied. The power-on
-  /// image (an empty OS) drops every task and alarm, capacity kept.
-  struct Snapshot {
-    struct TaskData {
-      TaskState state = TaskState::Suspended;
-      bool pending = false;
-      std::uint64_t activations = 0;
-      bool chained = false;
+  /// A task's run-mutable record (priority rides along so the dispatch
+  /// scan reads one dense vector).
+  struct TaskData {
+    TaskState state = TaskState::Suspended;
+    bool pending = false;   ///< one queued activation (BCC1)
+    bool chained = false;   ///< ChainTask target of the current body
+    unsigned priority = 1;
+    std::uint64_t activations = 0;
 
-      bool operator==(const TaskData&) const = default;
-    };
-    struct AlarmData {
-      bool armed = false;
-      std::uint64_t expires_at = 0;
-      std::uint64_t cycle = 0;
+    bool operator==(const TaskData&) const = default;
+  };
+  struct AlarmData {
+    bool armed = false;
+    std::uint64_t expires_at = 0;
+    std::uint64_t cycle = 0;  ///< 0 = one-shot
 
-      bool operator==(const AlarmData&) const = default;
-    };
-    std::vector<TaskData> tasks;
-    std::vector<AlarmData> alarms;
+    bool operator==(const AlarmData&) const = default;
+  };
+
+  /// Everything the OS mutates, declared once: the state block is the
+  /// snapshot. Tasks and alarms are declared only at configuration time
+  /// (pre-capture); their identity (names, body closures, alarm targets)
+  /// lives outside the block and is never copied — restore truncates it
+  /// to the captured counts. The power-on image (an empty OS) drops every
+  /// task and alarm, capacity kept.
+  struct State {
+    std::vector<TaskData> tasks;    ///< parallel to tasks_ (identity)
+    std::vector<AlarmData> alarms;  ///< parallel to alarms_ (identity)
     std::uint64_t counter = 0;
     std::uint64_t dispatches = 0;
 
-    bool operator==(const Snapshot&) const = default;
+    bool operator==(const State&) const = default;
   };
+  using Snapshot = State;
 
-  void snapshot_to(Snapshot& out) const;
-  void restore_from(const Snapshot& snapshot);
+  void snapshot_to(Snapshot& out) const { out = state_; }
+
+  void restore_from(const Snapshot& snapshot) {
+    if (tasks_.size() > snapshot.tasks.size()) tasks_.resize(snapshot.tasks.size());
+    if (alarms_.size() > snapshot.alarms.size()) alarms_.resize(snapshot.alarms.size());
+    assert(tasks_.size() == snapshot.tasks.size());
+    assert(alarms_.size() == snapshot.alarms.size());
+    state_ = snapshot;
+  }
 
  private:
   struct Task {
     std::string name;
-    unsigned priority = 1;
     TaskBody body;
-    TaskState state = TaskState::Suspended;
-    bool pending = false;       ///< one queued activation (BCC1)
-    std::uint64_t activations = 0;
-    bool chained = false;       ///< ChainTask target of the current body
   };
 
   struct Alarm {
     std::string name;
     TaskId activates = 0;
-    bool armed = false;
-    std::uint64_t expires_at = 0;
-    std::uint64_t cycle = 0;  ///< 0 = one-shot
   };
 
   std::vector<Task> tasks_;
   std::vector<Alarm> alarms_;
-  std::uint64_t counter_ = 0;
-  std::uint64_t dispatches_ = 0;
+  State state_;
 };
 
 }  // namespace mcs::guest::osek

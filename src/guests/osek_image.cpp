@@ -10,9 +10,9 @@ void OsekImage::on_start(jh::GuestContext& ctx) {
   ctx.console_puts("AUTOSAR-classic OS (OSEK BCC1) up in cell '" +
                    std::string(ctx.cell().name()) + "'\n");
   ctx.start_periodic_timer(1);
-  if (configured_) return;
+  if (state_.configured) return;
   declare_workload();
-  configured_ = true;
+  state_.configured = true;
   ctx.console_puts("OSEK: " + std::to_string(os_.task_count()) +
                    " tasks declared\n");
 }
@@ -23,27 +23,28 @@ void OsekImage::declare_workload() {
       "BrakeAcq", 4, [this](osek::TaskContext&) {
         // Triangle-wave "ADC" with a plausibility check (ISO 26262 E/E
         // mitigation at the application level).
-        pressure_raw_ = (pressure_raw_ + 0x31) & 0xfff;
-        if (pressure_raw_ > 0xfff) ++errors_;  // cannot happen unless corrupted
-        ++samples_;
+        state_.pressure_raw = (state_.pressure_raw + 0x31) & 0xfff;
+        // Cannot happen unless corrupted.
+        if (state_.pressure_raw > 0xfff) ++state_.errors;
+        ++state_.samples;
       });
 
   // 50 ms frame transmit: length-checked line on the cell console.
   const osek::TaskId frame = os_.declare_task(
       "FrameTx", 3, [this](osek::TaskContext&) {
-        ++frame_seq_;
-        ++frames_;
-        pending_frame_ = true;
+        ++state_.frame_seq;
+        ++state_.frames;
+        state_.pending_frame = true;
       });
 
   // 100 ms alive supervision: the classical external-watchdog kick.
   const osek::TaskId wdg = os_.declare_task(
-      "WdgKick", 2, [this](osek::TaskContext&) { ++kicks_; });
+      "WdgKick", 2, [this](osek::TaskContext&) { ++state_.kicks; });
 
   // Idle-level self-test task, chained from the watchdog every 10th kick.
   const osek::TaskId self_test = os_.declare_task(
       "SelfTest", 1, [this](osek::TaskContext&) {
-        if ((pressure_raw_ & 0xfff) != pressure_raw_) ++errors_;
+        if ((state_.pressure_raw & 0xfff) != state_.pressure_raw) ++state_.errors;
       });
   (void)self_test;
 
@@ -53,23 +54,23 @@ void OsekImage::declare_workload() {
 }
 
 void OsekImage::run_quantum(jh::GuestContext& ctx) {
-  ++quantum_counter_;
+  ++state_.quantum_counter;
   // Run all pending activations to completion (OSEK tasks are short).
   for (int i = 0; i < 4; ++i) {
     if (!os_.dispatch().has_value()) break;
   }
   // Console output happens at quantum level so a parked CPU stops
   // transmitting exactly like the FreeRTOS cell does.
-  if (pending_frame_) {
-    pending_frame_ = false;
-    ctx.console_puts("frame " + std::to_string(frame_seq_) + " len=8 ok\n");
+  if (state_.pending_frame) {
+    state_.pending_frame = false;
+    ctx.console_puts("frame " + std::to_string(state_.frame_seq) + " len=8 ok\n");
   }
-  if (quantum_counter_ % 750 == 0) {
+  if (state_.quantum_counter % 750 == 0) {
     (void)ctx.hypercall(
         static_cast<std::uint32_t>(jh::Hypercall::DebugConsolePutc),
         static_cast<std::uint32_t>('*'));
   }
-  if (quantum_counter_ % 1500 == 500) {
+  if (state_.quantum_counter % 1500 == 500) {
     (void)ctx.mmio_read_u32(jh::kGicDistBase + 0x104);
   }
 }
@@ -83,12 +84,12 @@ void OsekImage::on_irq(jh::GuestContext& ctx, std::uint32_t irq) {
   (void)ctx;
   if (irq == jh::kIvshmemDoorbellSgi) {
     // ivshmem peer rang: a CAN-gateway task would drain the ring here.
-    ++doorbells_;
+    ++state_.doorbells;
     return;
   }
   // Any other delivered vector is counted and ignored (predictable error
   // handling, as §III expects from corrupted IRQ vectors).
-  ++unknown_irqs_;
+  ++state_.unknown_irqs;
 }
 
 }  // namespace mcs::guest

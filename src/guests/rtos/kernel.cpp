@@ -5,39 +5,38 @@
 namespace mcs::guest::rtos {
 
 TaskId Kernel::add_task(std::string name, unsigned priority, TaskStep step) {
-  Task task;
-  task.name = std::move(name);
-  task.priority = priority;
-  task.step = std::move(step);
-  tasks_.push_back(std::move(task));
+  tasks_.push_back({std::move(name), std::move(step)});
+  TaskData data;
+  data.priority = priority;
+  state_.tasks.push_back(data);
   return tasks_.size() - 1;
 }
 
 void Kernel::delay(TaskId task, std::uint64_t ticks) {
-  Task& t = tasks_.at(task);
+  TaskData& t = state_.tasks.at(task);
   t.state = TaskState::BlockedOnDelay;
-  t.wake_at = util::Ticks{tick_count_ + ticks};
+  t.wake_at = util::Ticks{state_.tick_count + ticks};
 }
 
-void Kernel::suspend(TaskId task) { tasks_.at(task).state = TaskState::Suspended; }
+void Kernel::suspend(TaskId task) { state_.tasks.at(task).state = TaskState::Suspended; }
 
 void Kernel::resume(TaskId task) {
-  Task& t = tasks_.at(task);
+  TaskData& t = state_.tasks.at(task);
   if (t.state == TaskState::Suspended) t.state = TaskState::Ready;
 }
 
 QueueId Kernel::create_queue(std::size_t capacity) {
-  queues_.push_back(std::make_unique<MessageQueue>(capacity));
-  return queues_.size() - 1;
+  state_.queues.emplace_back(capacity);
+  return state_.queues.size() - 1;
 }
 
 bool Kernel::queue_send(TaskId task, QueueId queue, std::uint32_t item) {
-  MessageQueue& q = *queues_.at(queue);
+  MessageQueue& q = state_.queues.at(queue);
   if (q.try_send(item)) {
     wake_queue_waiters(queue, /*for_space=*/false);  // data available
     return true;
   }
-  Task& t = tasks_.at(task);
+  TaskData& t = state_.tasks.at(task);
   t.state = TaskState::BlockedOnQueue;
   t.waiting_queue = queue;
   t.waiting_for_space = true;
@@ -45,12 +44,12 @@ bool Kernel::queue_send(TaskId task, QueueId queue, std::uint32_t item) {
 }
 
 std::optional<std::uint32_t> Kernel::queue_receive(TaskId task, QueueId queue) {
-  MessageQueue& q = *queues_.at(queue);
+  MessageQueue& q = state_.queues.at(queue);
   if (auto item = q.try_receive()) {
     wake_queue_waiters(queue, /*for_space=*/true);  // space available
     return item;
   }
-  Task& t = tasks_.at(task);
+  TaskData& t = state_.tasks.at(task);
   t.state = TaskState::BlockedOnQueue;
   t.waiting_queue = queue;
   t.waiting_for_space = false;
@@ -58,7 +57,7 @@ std::optional<std::uint32_t> Kernel::queue_receive(TaskId task, QueueId queue) {
 }
 
 void Kernel::wake_queue_waiters(QueueId queue, bool for_space) {
-  for (Task& t : tasks_) {
+  for (TaskData& t : state_.tasks) {
     if (t.state == TaskState::BlockedOnQueue && t.waiting_queue == queue &&
         t.waiting_for_space == for_space) {
       t.state = TaskState::Ready;
@@ -67,10 +66,10 @@ void Kernel::wake_queue_waiters(QueueId queue, bool for_space) {
 }
 
 void Kernel::on_tick() {
-  ++tick_count_;
-  for (Task& t : tasks_) {
+  ++state_.tick_count;
+  for (TaskData& t : state_.tasks) {
     if (t.state == TaskState::BlockedOnDelay &&
-        t.wake_at.value <= tick_count_) {
+        t.wake_at.value <= state_.tick_count) {
       t.state = TaskState::Ready;
     }
   }
@@ -81,7 +80,7 @@ std::optional<TaskId> Kernel::run_slice(jh::GuestContext& guest) {
   // previously dispatched task so equal-priority tasks share fairly.
   unsigned best_priority = 0;
   bool found = false;
-  for (const Task& t : tasks_) {
+  for (const TaskData& t : state_.tasks) {
     if (t.state == TaskState::Ready && (!found || t.priority > best_priority)) {
       best_priority = t.priority;
       found = true;
@@ -89,17 +88,17 @@ std::optional<TaskId> Kernel::run_slice(jh::GuestContext& guest) {
   }
   if (!found) return std::nullopt;
 
-  const std::size_t n = tasks_.size();
+  const std::size_t n = state_.tasks.size();
   for (std::size_t offset = 1; offset <= n; ++offset) {
-    const std::size_t index = (rr_cursor_ + offset) % n;
-    Task& t = tasks_[index];
+    const std::size_t index = (state_.rr_cursor + offset) % n;
+    TaskData& t = state_.tasks[index];
     if (t.state != TaskState::Ready || t.priority != best_priority) continue;
-    rr_cursor_ = index;
+    state_.rr_cursor = index;
     t.state = TaskState::Running;
     ++t.dispatches;
-    ++dispatches_;
+    ++state_.dispatches;
     TaskContext ctx{*this, guest, index};
-    t.step(ctx);
+    tasks_[index].step(ctx);
     // A step may have blocked/suspended itself; otherwise it yields.
     if (t.state == TaskState::Running) t.state = TaskState::Ready;
     return index;
@@ -115,9 +114,10 @@ std::optional<TaskId> Kernel::find_task(std::string_view name) const {
 }
 
 bool Kernel::invariants_hold() const noexcept {
-  for (const Task& t : tasks_) {
+  for (const TaskData& t : state_.tasks) {
     if (t.state == TaskState::Running) return false;  // residue between slices
-    if (t.state == TaskState::BlockedOnQueue && t.waiting_queue >= queues_.size()) {
+    if (t.state == TaskState::BlockedOnQueue &&
+        t.waiting_queue >= state_.queues.size()) {
       return false;
     }
   }

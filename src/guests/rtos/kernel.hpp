@@ -9,8 +9,8 @@
 // §III) while keeping every scheduling decision deterministic.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,12 +63,14 @@ class Kernel {
   std::optional<TaskId> run_slice(jh::GuestContext& guest);
 
   // --- introspection ------------------------------------------------------
-  [[nodiscard]] const Task& task(TaskId id) const { return tasks_.at(id); }
-  [[nodiscard]] Task& task(TaskId id) { return tasks_.at(id); }
+  [[nodiscard]] const TaskData& task(TaskId id) const { return state_.tasks.at(id); }
+  [[nodiscard]] TaskData& task(TaskId id) { return state_.tasks.at(id); }
   [[nodiscard]] std::size_t task_count() const noexcept { return tasks_.size(); }
-  [[nodiscard]] const MessageQueue& queue(QueueId id) const { return *queues_.at(id); }
-  [[nodiscard]] std::uint64_t ticks() const noexcept { return tick_count_; }
-  [[nodiscard]] std::uint64_t dispatches() const noexcept { return dispatches_; }
+  [[nodiscard]] const MessageQueue& queue(QueueId id) const {
+    return state_.queues.at(id);
+  }
+  [[nodiscard]] std::uint64_t ticks() const noexcept { return state_.tick_count; }
+  [[nodiscard]] std::uint64_t dispatches() const noexcept { return state_.dispatches; }
   [[nodiscard]] std::optional<TaskId> find_task(std::string_view name) const;
 
   /// Scheduler invariant checks (used by the property tests): no Running
@@ -76,68 +78,32 @@ class Kernel {
   [[nodiscard]] bool invariants_hold() const noexcept;
 
   // --- snapshot / restore ------------------------------------------------
-  /// Tasks and queues are created only during guest start-up (pre-capture)
-  /// and never removed mid-run, so the snapshot stores per-task/queue
-  /// mutable fields by index plus the captured counts. Restore truncates
-  /// back to those counts and rewinds the mutable fields in place — task
-  /// identity (name, priority, step closure) is never copied. The
-  /// power-on image (an empty kernel) drops every task and queue while
-  /// container capacity is kept.
-  struct Snapshot {
-    struct TaskData {
-      TaskState state = TaskState::Ready;
-      util::Ticks wake_at{};
-      std::size_t waiting_queue = 0;
-      bool waiting_for_space = false;
-      std::uint64_t dispatches = 0;
-      std::uint64_t errors = 0;
-
-      bool operator==(const TaskData&) const = default;
-    };
-    std::vector<TaskData> tasks;
-    std::vector<MessageQueue::Snapshot> queues;
+  /// Everything the scheduler mutates, declared once: the state block is
+  /// the snapshot. Tasks and queues are created only during guest
+  /// start-up (pre-capture) and never removed mid-run; task identity
+  /// (name, step closure) lives outside the block and is never copied —
+  /// restore truncates it to the captured task count. The power-on image
+  /// (an empty kernel) drops every task and queue while container
+  /// capacity is kept.
+  struct State {
+    std::vector<TaskData> tasks;  ///< parallel to tasks_ (identity)
+    std::vector<MessageQueue> queues;
     std::uint64_t tick_count = 0;
     std::uint64_t dispatches = 0;
+    /// Round-robin cursor within equal priority; starts "before task 0"
+    /// so the first dispatch is task 0 (unsigned wrap makes cursor+1 == 0).
     std::size_t rr_cursor = static_cast<std::size_t>(-1);
 
-    bool operator==(const Snapshot&) const = default;
+    bool operator==(const State&) const = default;
   };
+  using Snapshot = State;
 
-  void snapshot_to(Snapshot& out) const {
-    out.tasks.resize(tasks_.size());
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-      const Task& task = tasks_[i];
-      out.tasks[i] = {task.state,         task.wake_at,    task.waiting_queue,
-                      task.waiting_for_space, task.dispatches, task.errors};
-    }
-    out.queues.resize(queues_.size());
-    for (std::size_t i = 0; i < queues_.size(); ++i) {
-      queues_[i]->snapshot_to(out.queues[i]);
-    }
-    out.tick_count = tick_count_;
-    out.dispatches = dispatches_;
-    out.rr_cursor = rr_cursor_;
-  }
+  void snapshot_to(Snapshot& out) const { out = state_; }
 
   void restore_from(const Snapshot& snapshot) {
     if (tasks_.size() > snapshot.tasks.size()) tasks_.resize(snapshot.tasks.size());
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-      const Snapshot::TaskData& data = snapshot.tasks[i];
-      Task& task = tasks_[i];
-      task.state = data.state;
-      task.wake_at = data.wake_at;
-      task.waiting_queue = data.waiting_queue;
-      task.waiting_for_space = data.waiting_for_space;
-      task.dispatches = data.dispatches;
-      task.errors = data.errors;
-    }
-    if (queues_.size() > snapshot.queues.size()) queues_.resize(snapshot.queues.size());
-    for (std::size_t i = 0; i < queues_.size(); ++i) {
-      queues_[i]->restore_from(snapshot.queues[i]);
-    }
-    tick_count_ = snapshot.tick_count;
-    dispatches_ = snapshot.dispatches;
-    rr_cursor_ = snapshot.rr_cursor;
+    assert(tasks_.size() == snapshot.tasks.size());
+    state_ = snapshot;
   }
 
  private:
@@ -145,12 +111,7 @@ class Kernel {
   void wake_queue_waiters(QueueId queue, bool for_space);
 
   std::vector<Task> tasks_;
-  std::vector<std::unique_ptr<MessageQueue>> queues_;
-  std::uint64_t tick_count_ = 0;
-  std::uint64_t dispatches_ = 0;
-  /// Round-robin cursor within equal priority; starts "before task 0" so
-  /// the first dispatch is task 0 (unsigned wrap makes cursor+1 == 0).
-  std::size_t rr_cursor_ = static_cast<std::size_t>(-1);
+  State state_;
 };
 
 }  // namespace mcs::guest::rtos

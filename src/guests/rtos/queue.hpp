@@ -30,32 +30,11 @@ class MessageQueue {
   std::uint64_t receives = 0;
   std::uint64_t send_failures = 0;  ///< attempted sends while full
 
-  // --- snapshot / restore (testbed warm-start) --------------------------
-  struct Snapshot {
-    std::vector<std::uint32_t> items;
-    std::uint64_t sends = 0;
-    std::uint64_t receives = 0;
-    std::uint64_t send_failures = 0;
-
-    bool operator==(const Snapshot&) const = default;
-  };
-
-  void snapshot_to(Snapshot& out) const {
-    out.items = items_;
-    out.sends = sends;
-    out.receives = receives;
-    out.send_failures = send_failures;
-  }
-
-  /// Item storage never exceeds `capacity_` entries, so after a warm run
-  /// the vector's capacity covers any captured fill level and the copy
-  /// assignment below reuses it without allocating.
-  void restore_from(const Snapshot& snapshot) {
-    if (items_ != snapshot.items) items_ = snapshot.items;
-    sends = snapshot.sends;
-    receives = snapshot.receives;
-    send_failures = snapshot.send_failures;
-  }
+  /// A queue is plain state: the kernel keeps its queues by value in its
+  /// state block, so a queue's snapshot is a copy of the queue. Item
+  /// storage never exceeds `capacity_` entries and a vector's capacity
+  /// never shrinks, so restoring a captured fill level reuses it.
+  bool operator==(const MessageQueue&) const = default;
 
  private:
   std::size_t capacity_;

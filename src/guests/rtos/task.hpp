@@ -29,19 +29,27 @@ struct TaskContext;
 /// "for(;;){ work; vTaskDelay(); }" body, one lap per call).
 using TaskStep = std::function<void(TaskContext&)>;
 
+/// A task's identity: fixed when the task is created, never snapshotted
+/// or copied.
 struct Task {
   std::string name;
-  unsigned priority = 1;  ///< higher value = more urgent (FreeRTOS style)
-  TaskState state = TaskState::Ready;
   TaskStep step;
+};
 
+/// A task's scheduling record, one dense entry per task in the kernel's
+/// state block (so the ready scan reads one flat vector).
+struct TaskData {
+  TaskState state = TaskState::Ready;
+  bool waiting_for_space = false; ///< blocked sender (vs blocked receiver)
+  unsigned priority = 1;          ///< higher value = more urgent (FreeRTOS style)
   util::Ticks wake_at{};          ///< for BlockedOnDelay
   std::size_t waiting_queue = 0;  ///< for BlockedOnQueue
-  bool waiting_for_space = false; ///< blocked sender (vs blocked receiver)
 
   // -- statistics ---------------------------------------------------------
   std::uint64_t dispatches = 0;   ///< times the scheduler ran this task
   std::uint64_t errors = 0;       ///< self-detected data errors
+
+  bool operator==(const TaskData&) const = default;
 };
 
 }  // namespace mcs::guest::rtos

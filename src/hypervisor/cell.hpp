@@ -42,8 +42,8 @@ class Cell {
   [[nodiscard]] const std::string& name() const noexcept { return config_.name; }
   [[nodiscard]] const CellConfig& config() const noexcept { return config_; }
 
-  [[nodiscard]] CellState state() const noexcept { return state_; }
-  void set_state(CellState state) noexcept { state_ = state; }
+  [[nodiscard]] CellState state() const noexcept { return state_.lifecycle; }
+  void set_state(CellState state) noexcept { state_.lifecycle = state; }
 
   [[nodiscard]] bool owns_cpu(int cpu) const noexcept;
   [[nodiscard]] bool owns_irq(irq::IrqId irq) const noexcept;
@@ -58,30 +58,48 @@ class Cell {
   /// Regions carved out of the root cell at create time, to be restored at
   /// destroy time.
   [[nodiscard]] std::vector<mem::MemRegion>& loaned_regions() noexcept {
-    return loaned_;
+    return state_.loaned;
   }
 
   // --- statistics the profiler and monitor read -------------------------
-  std::uint64_t console_bytes = 0;   ///< bytes emitted through the console path
-  std::uint64_t hypercalls = 0;      ///< hypercalls issued by this cell
-  std::uint64_t stage2_faults = 0;   ///< trapped MMIO accesses
+  /// Bytes emitted through the console path.
+  [[nodiscard]] std::uint64_t console_bytes() const noexcept {
+    return state_.console_bytes;
+  }
+  /// Hypercalls issued by this cell.
+  [[nodiscard]] std::uint64_t hypercalls() const noexcept { return state_.hypercalls; }
+  /// Trapped MMIO accesses.
+  [[nodiscard]] std::uint64_t stage2_faults() const noexcept {
+    return state_.stage2_faults;
+  }
+  void count_console_byte() noexcept { ++state_.console_bytes; }
+  void count_hypercall() noexcept { ++state_.hypercalls; }
+  void count_stage2_fault() noexcept { ++state_.stage2_faults; }
 
   // --- snapshot / restore (testbed warm-start) --------------------------
-  /// Cell identity is (id, config): ids are allocated monotonically and
-  /// configs are fixed at create, so a live cell whose id matches a
-  /// snapshot entry *is* the captured cell and is restored in place. The
-  /// config is carried only so a cell destroyed after capture can be
-  /// re-created.
-  struct Snapshot {
-    CellId id = kRootCellId;
-    CellConfig config;
-    CellState state = CellState::Created;
-    mem::MemoryMap::Snapshot map;
-    std::uint64_t space_faults = 0;
+  /// The cell's own run-mutable fields, declared once.
+  struct State {
+    CellState lifecycle = CellState::Created;
     std::vector<mem::MemRegion> loaned;
     std::uint64_t console_bytes = 0;
     std::uint64_t hypercalls = 0;
     std::uint64_t stage2_faults = 0;
+
+    bool operator==(const State&) const = default;
+  };
+
+  /// Cell identity is (id, config): ids are allocated monotonically and
+  /// configs are fixed at create, so a live cell whose id matches a
+  /// snapshot entry *is* the captured cell and is restored in place. The
+  /// config is carried only so a cell destroyed after capture can be
+  /// re-created. The memory map and the address space's fault count are
+  /// their owners' state.
+  struct Snapshot {
+    CellId id = kRootCellId;
+    CellConfig config;
+    State state;
+    mem::MemoryMap::Snapshot map;
+    std::uint64_t space_faults = 0;
 
     bool operator==(const Snapshot&) const = default;
   };
@@ -92,20 +110,12 @@ class Cell {
     out.state = state_;
     map_.snapshot_to(out.map);
     out.space_faults = space_.fault_count();
-    out.loaned = loaned_;
-    out.console_bytes = console_bytes;
-    out.hypercalls = hypercalls;
-    out.stage2_faults = stage2_faults;
   }
 
   void restore_from(const Snapshot& snapshot) {
     state_ = snapshot.state;
     map_.restore_from(snapshot.map);
     space_.set_fault_count(snapshot.space_faults);
-    if (loaned_ != snapshot.loaned) loaned_ = snapshot.loaned;
-    console_bytes = snapshot.console_bytes;
-    hypercalls = snapshot.hypercalls;
-    stage2_faults = snapshot.stage2_faults;
   }
 
  private:
@@ -113,8 +123,7 @@ class Cell {
   CellConfig config_;
   mem::MemoryMap map_;
   mem::AddressSpace space_;
-  CellState state_ = CellState::Created;
-  std::vector<mem::MemRegion> loaned_;
+  State state_;
 };
 
 }  // namespace mcs::jh

@@ -1,6 +1,7 @@
 #include "hypervisor/config_text.hpp"
 
 #include <charconv>
+#include <limits>
 #include <sstream>
 
 #include "util/strings.hpp"
@@ -23,6 +24,18 @@ util::Expected<std::uint64_t> parse_kv_number(std::string_view token,
     return util::invalid_argument("expected " + std::string(key) + "=...");
   }
   return parse_config_number(token.substr(key.size() + 1));
+}
+
+/// A number bound for a field narrower than 64 bits: a value the field
+/// cannot hold is rejected, never truncated.
+template <typename T>
+util::Expected<T> parse_narrow_number(std::string_view token) {
+  auto value = parse_config_number(token);
+  if (!value.is_ok()) return value.status();
+  if (value.value() > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    return util::invalid_argument("number out of range");
+  }
+  return static_cast<T>(value.value());
 }
 
 std::vector<std::string> tokens_of(std::string_view line) {
@@ -138,15 +151,15 @@ util::Expected<CellConfig> parse_cell_config(std::string_view text) {
     } else if (keyword == "cpus") {
       if (tokens.size() < 2) return fail("cpus needs at least one id");
       for (std::size_t i = 1; i < tokens.size(); ++i) {
-        auto value = parse_config_number(tokens[i]);
+        auto value = parse_narrow_number<int>(tokens[i]);
         if (!value.is_ok()) return fail("bad cpu id '" + tokens[i] + "'");
-        config.cpus.push_back(static_cast<int>(value.value()));
+        config.cpus.push_back(value.value());
       }
     } else if (keyword == "entry") {
       if (tokens.size() != 2) return fail("entry needs one address");
-      auto value = parse_config_number(tokens[1]);
+      auto value = parse_narrow_number<arch::Word>(tokens[1]);
       if (!value.is_ok()) return fail("bad entry address");
-      config.entry_point = static_cast<arch::Word>(value.value());
+      config.entry_point = value.value();
     } else if (keyword == "console") {
       if (tokens.size() < 2) return fail("console needs a kind");
       if (tokens[1] == "none") {
@@ -183,9 +196,9 @@ util::Expected<CellConfig> parse_cell_config(std::string_view text) {
       config.mem_regions.push_back(std::move(region));
     } else if (keyword == "irq") {
       if (tokens.size() != 2) return fail("irq needs one id");
-      auto value = parse_config_number(tokens[1]);
+      auto value = parse_narrow_number<irq::IrqId>(tokens[1]);
       if (!value.is_ok()) return fail("bad irq id");
-      config.irqs.push_back(static_cast<irq::IrqId>(value.value()));
+      config.irqs.push_back(value.value());
     } else if (keyword == "end") {
       saw_end = true;
     } else {

@@ -19,9 +19,10 @@ std::string_view hook_point_name(HookPoint point) noexcept {
   return "?";
 }
 
-Hypervisor::Hypervisor(platform::Board& board) : board_(&board) {
-  cpu_owner_.fill(kRootCellId);
-}
+// State::cpu_owner{} hands every CPU to the root cell.
+static_assert(kRootCellId == 0);
+
+Hypervisor::Hypervisor(platform::Board& board) : board_(&board) {}
 
 void Hypervisor::retire_tlb_counters(const Cell& cell) noexcept {
   retired_tlb_hits_ += cell.address_space().tlb_hits();
@@ -45,12 +46,7 @@ std::uint64_t Hypervisor::stage2_tlb_misses() const noexcept {
 }
 
 void Hypervisor::snapshot_to(Snapshot& out) const {
-  out.enabled = enabled_;
-  out.panicked = panicked_;
-  out.panic_reason = panic_reason_;
-  out.counters = counters_;
-  out.next_cell_id = next_cell_id_;
-  out.cpu_owner = cpu_owner_;
+  out.state = state_;
   out.cells.clear();
   out.cells.reserve(cells_.size());
   for (const auto& [id, cell] : cells_) {
@@ -61,13 +57,8 @@ void Hypervisor::snapshot_to(Snapshot& out) const {
 }
 
 void Hypervisor::restore_from(const Snapshot& snapshot) {
-  enabled_ = snapshot.enabled;
-  panicked_ = snapshot.panicked;
-  if (panic_reason_ != snapshot.panic_reason) panic_reason_ = snapshot.panic_reason;
-  counters_ = snapshot.counters;
+  state_ = snapshot.state;
   hook_ = nullptr;
-  next_cell_id_ = snapshot.next_cell_id;
-  cpu_owner_ = snapshot.cpu_owner;
   if (config_registry_ != snapshot.config_registry) {
     config_registry_ = snapshot.config_registry;
   }
@@ -103,7 +94,7 @@ void Hypervisor::log(util::Severity severity, int cpu, std::string message) {
 }
 
 util::Status Hypervisor::enable(CellConfig root_config) {
-  if (enabled_) return util::busy("hypervisor already enabled");
+  if (state_.enabled) return util::busy("hypervisor already enabled");
   MCS_RETURN_IF_ERROR(root_config.validate(board_->num_cpus()));
   auto root = std::make_unique<Cell>(kRootCellId, std::move(root_config),
                                      board_->dram());
@@ -116,13 +107,13 @@ util::Status Hypervisor::enable(CellConfig root_config) {
       MCS_RETURN_IF_ERROR(core.power_on(root->config().entry_point));
       MCS_RETURN_IF_ERROR(core.complete_boot());
     }
-    cpu_owner_[static_cast<std::size_t>(cpu)] = kRootCellId;
+    state_.cpu_owner[static_cast<std::size_t>(cpu)] = kRootCellId;
   }
   root->set_state(CellState::Running);
   retire_all_tlb_counters();
   cells_.clear();
   cells_.emplace(kRootCellId, std::move(root));
-  enabled_ = true;
+  state_.enabled = true;
   log(util::Severity::Info, 0, "hypervisor enabled, root cell '" +
                                    root_cell().name() + "' running");
   return util::ok_status();
@@ -151,12 +142,12 @@ std::vector<Cell*> Hypervisor::cells() noexcept {
 
 Cell* Hypervisor::cell_on_cpu(int cpu) noexcept {
   if (cpu < 0 || cpu >= board_->num_cpus()) return nullptr;
-  return find_cell(cpu_owner_[static_cast<std::size_t>(cpu)]);
+  return find_cell(state_.cpu_owner[static_cast<std::size_t>(cpu)]);
 }
 
 CellId Hypervisor::cpu_owner(int cpu) const noexcept {
   if (cpu < 0 || cpu >= board_->num_cpus()) return kRootCellId;
-  return cpu_owner_[static_cast<std::size_t>(cpu)];
+  return state_.cpu_owner[static_cast<std::size_t>(cpu)];
 }
 
 arch::EntryFrame Hypervisor::make_frame(int cpu, arch::Syndrome hsr,
@@ -174,10 +165,10 @@ arch::EntryFrame Hypervisor::make_frame(int cpu, arch::Syndrome hsr,
 // ---------------------------------------------------------------------------
 
 void Hypervisor::panic(int cpu, std::string reason) {
-  if (panicked_) return;
-  panicked_ = true;
-  panic_reason_ = reason;
-  ++counters_.panics;
+  if (state_.panicked) return;
+  state_.panicked = true;
+  state_.panic_reason = reason;
+  ++state_.counters.panics;
   log(util::Severity::Fatal, cpu, "HYPERVISOR PANIC: " + reason);
   // The panic propagates to the whole system (§III "panic park"): every
   // core is parked, Linux dies with it. The hypervisor console (UART0)
@@ -194,8 +185,8 @@ void Hypervisor::panic(int cpu, std::string reason) {
 
 void Hypervisor::unhandled_trap(int cpu, std::uint8_t ec_bits,
                                 const std::string& detail) {
-  ++counters_.unhandled_traps;
-  ++counters_.cpu_parks;
+  ++state_.counters.unhandled_traps;
+  ++state_.counters.cpu_parks;
   const std::string reason = "unhandled trap exception class " +
                              hex(ec_bits, 2) + " (" + detail + ")";
   log(util::Severity::Error, cpu, reason + " -> cpu_park()");
@@ -250,15 +241,15 @@ bool Hypervisor::check_entry_integrity(const arch::EntryFrame& frame) {
 
 TrapOutcome Hypervisor::arch_handle_trap(arch::EntryFrame& frame) {
   TrapOutcome out;
-  if (panicked_) {
+  if (state_.panicked) {
     out.action = TrapAction::Panicked;
     out.hvc_result = kHvcEBusy;
     return out;
   }
   const int cpu = frame.cpu;
   arch::Cpu& core = board_->cpu(cpu);
-  ++core.trap_entries;
-  ++counters_.traps;
+  core.count_trap_entry();
+  ++state_.counters.traps;
 
   fire_hook(HookPoint::ArchHandleTrap, frame);
 
@@ -297,7 +288,7 @@ TrapOutcome Hypervisor::arch_handle_trap(arch::EntryFrame& frame) {
         out.action = TrapAction::CpuParked;
         return out;
       }
-      ++cell->stage2_faults;
+      cell->count_stage2_fault();
       const std::uint32_t addr = frame.bank[Reg::R2];
       const std::uint32_t value = frame.bank[Reg::R3];
       std::uint32_t read_value = 0;
@@ -308,7 +299,7 @@ TrapOutcome Hypervisor::arch_handle_trap(arch::EntryFrame& frame) {
         out.action = TrapAction::CpuParked;
         return out;
       }
-      ++counters_.mmio_emulations;
+      ++state_.counters.mmio_emulations;
       out.mmio_read_value = read_value;
       break;
     }
@@ -333,7 +324,7 @@ TrapOutcome Hypervisor::arch_handle_trap(arch::EntryFrame& frame) {
       return out;
   }
 
-  if (panicked_) {  // a nested path may have panicked
+  if (state_.panicked) {  // a nested path may have panicked
     out.action = TrapAction::Panicked;
     return out;
   }
@@ -360,15 +351,15 @@ TrapOutcome Hypervisor::arch_handle_trap(arch::EntryFrame& frame) {
 
 HvcResult Hypervisor::arch_handle_hvc(arch::EntryFrame& frame) {
   const int cpu = frame.cpu;
-  ++board_->cpu(cpu).hvc_entries;
-  ++counters_.hvcs;
+  board_->cpu(cpu).count_hvc_entry();
+  ++state_.counters.hvcs;
 
   fire_hook(HookPoint::ArchHandleHvc, frame);
 
   const std::uint32_t code = frame.bank[Reg::R2];
   const std::uint32_t arg0 = frame.bank[Reg::R3];
   Cell* cell = cell_on_cpu(cpu);
-  if (cell != nullptr) ++cell->hypercalls;
+  if (cell != nullptr) cell->count_hypercall();
 
   HvcResult result = 0;
   if (!is_valid_hypercall(code)) {
@@ -402,7 +393,7 @@ HvcResult Hypervisor::arch_handle_hvc(arch::EntryFrame& frame) {
     }
   }
   if (result < 0) {
-    ++counters_.hypercall_errors;
+    ++state_.counters.hypercall_errors;
     log(util::Severity::Warning, cpu,
         "hypercall " + std::to_string(code) + " failed: " + std::to_string(result));
   }
@@ -442,10 +433,10 @@ HvcResult Hypervisor::do_cell_create(int cpu, std::uint32_t config_addr) {
 
   // Commit point. CPU hot-plug: Linux has offlined the CPUs; the
   // hypervisor reassigns them to the new cell.
-  const CellId id = next_cell_id_++;
+  const CellId id = state_.next_cell_id++;
   for (const int c : config.cpus) {
     board_->cpu(c).power_off();
-    cpu_owner_[static_cast<std::size_t>(c)] = id;
+    state_.cpu_owner[static_cast<std::size_t>(c)] = id;
   }
   auto cell = std::make_unique<Cell>(id, config, board_->dram());
   for (const mem::MemRegion& region : config.mem_regions) {
@@ -487,7 +478,7 @@ HvcResult Hypervisor::do_cell_start(std::uint32_t id) {
   // state lives. Reproduced deliberately.
   cell->set_state(CellState::Running);
   for (const int c : cell->config().cpus) {
-    cpu_owner_[static_cast<std::size_t>(c)] = cell->id();
+    state_.cpu_owner[static_cast<std::size_t>(c)] = cell->id();
     const util::Status status = board_->cpu(c).power_on(cell->config().entry_point);
     if (!status.is_ok()) {
       log(util::Severity::Error, c, "cell start: CPU_ON failed: " + status.to_string());
@@ -513,7 +504,7 @@ void Hypervisor::reclaim_cell_resources(Cell& cell) {
   // the root cell" (§III) — and it works even from the inconsistent state.
   for (const int c : cell.config().cpus) {
     board_->cpu(c).power_off();
-    cpu_owner_[static_cast<std::size_t>(c)] = kRootCellId;
+    state_.cpu_owner[static_cast<std::size_t>(c)] = kRootCellId;
   }
   for (const irq::IrqId irq : cell.config().irqs) {
     (void)board_->gic().disable(irq);
@@ -573,7 +564,7 @@ HvcResult Hypervisor::do_debug_console_putc(std::uint32_t ch) {
 
 HvcResult Hypervisor::do_disable(int cpu) {
   if (cells_.size() > 1) return kHvcEBusy;  // non-root cells still exist
-  enabled_ = false;
+  state_.enabled = false;
   log(util::Severity::Info, cpu, "hypervisor disabled");
   return 0;
 }
@@ -603,7 +594,7 @@ TrapOutcome Hypervisor::guest_data_abort(int cpu, std::uint64_t addr,
 }
 
 void Hypervisor::cpu_bringup_entry(int cpu) {
-  if (panicked_) return;
+  if (state_.panicked) return;
   arch::Cpu& core = board_->cpu(cpu);
   if (core.power_state() != arch::PowerState::Booting) return;
   Cell* cell = cell_on_cpu(cpu);
@@ -613,8 +604,8 @@ void Hypervisor::cpu_bringup_entry(int cpu) {
   arch::EntryFrame frame =
       make_frame(cpu, arch::Syndrome::make(arch::ExceptionClass::Smc, 0),
                  core.entry_point(), cell != nullptr ? cell->id() : ~0u, 0);
-  ++core.trap_entries;
-  ++counters_.traps;
+  core.count_trap_entry();
+  ++state_.counters.traps;
   fire_hook(HookPoint::ArchHandleTrap, frame);
 
   if (!check_entry_integrity(frame)) return;  // panicked
@@ -652,15 +643,15 @@ void Hypervisor::cpu_bringup_entry(int cpu) {
 // ---------------------------------------------------------------------------
 
 std::optional<IrqDelivery> Hypervisor::irqchip_handle_irq(int cpu) {
-  if (panicked_) return std::nullopt;
+  if (state_.panicked) return std::nullopt;
   arch::Cpu& core = board_->cpu(cpu);
   if (!core.is_online()) return std::nullopt;
 
   irq::Gic& gic = board_->gic();
   const irq::IrqId acked = gic.acknowledge(cpu);
   if (acked == irq::kSpuriousIrq) return std::nullopt;
-  ++core.irq_entries;
-  ++counters_.irqs;
+  core.count_irq_entry();
+  ++state_.counters.irqs;
 
   // "The only parameter passed is the IRQ vector number" (§III): the
   // handler receives the acknowledged vector in r0.
@@ -727,7 +718,7 @@ bool Hypervisor::emulate_mmio(Cell& cell, int cpu, std::uint64_t addr,
     if (is_write) {
       if (offset == platform::kUartThr) {
         (void)uart.mmio_write(platform::kUartThr, value);
-        ++cell.console_bytes;
+        cell.count_console_byte();
       }
       // Other registers: write-ignored (the emulation only forwards data).
     } else {

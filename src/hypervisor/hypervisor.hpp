@@ -109,7 +109,7 @@ class Hypervisor {
   // --- lifecycle --------------------------------------------------------
   /// `jailhouse enable`: install the root cell, take over the CPUs.
   util::Status enable(CellConfig root_config);
-  [[nodiscard]] bool is_enabled() const noexcept { return enabled_; }
+  [[nodiscard]] bool is_enabled() const noexcept { return state_.enabled; }
 
   // --- root-driver side: config registry --------------------------------
   /// The root driver copies a cell config into kernel memory and passes
@@ -158,12 +158,12 @@ class Hypervisor {
   [[nodiscard]] Cell* cell_on_cpu(int cpu) noexcept;
   [[nodiscard]] CellId cpu_owner(int cpu) const noexcept;
 
-  [[nodiscard]] bool is_panicked() const noexcept { return panicked_; }
+  [[nodiscard]] bool is_panicked() const noexcept { return state_.panicked; }
   [[nodiscard]] const std::string& panic_reason() const noexcept {
-    return panic_reason_;
+    return state_.panic_reason;
   }
 
-  [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
+  [[nodiscard]] const Counters& counters() const noexcept { return state_.counters; }
   [[nodiscard]] platform::Board& board() noexcept { return *board_; }
 
   /// Stage-2 TLB totals summed over live cells plus every cell retired so
@@ -174,17 +174,25 @@ class Hypervisor {
   [[nodiscard]] std::uint64_t stage2_tlb_misses() const noexcept;
 
   // --- snapshot / restore ------------------------------------------------
-  /// Captures everything a run can mutate, config registry included. The
-  /// entry hook is detached between runs, so it is not part of the
-  /// snapshot: restore always leaves it detached. A snapshot taken right
-  /// after construction is the power-on image (no cells, no configs).
-  struct Snapshot {
+  /// The hypervisor's own run-mutable fields, declared once. The entry
+  /// hook is detached between runs, so it is not state: restore always
+  /// leaves it detached.
+  struct State {
     bool enabled = false;
     bool panicked = false;
     std::string panic_reason;
     Counters counters;
     CellId next_cell_id = 1;
-    std::array<CellId, irq::kMaxCpus> cpu_owner{};
+    std::array<CellId, irq::kMaxCpus> cpu_owner{};  ///< all root at power-on
+
+    bool operator==(const State&) const = default;
+  };
+
+  /// Everything a run can mutate: the state block, every cell, and the
+  /// config registry. A snapshot taken right after construction is the
+  /// power-on image (no cells, no configs).
+  struct Snapshot {
+    State state;
     std::vector<Cell::Snapshot> cells;  ///< in ascending id order
     std::map<std::uint64_t, CellConfig> config_registry;
 
@@ -196,8 +204,9 @@ class Hypervisor {
   /// Restore in place: live cells matching a captured id are rewound
   /// without reallocation; cells created after capture are erased; cells
   /// destroyed after capture are rebuilt from their captured config. The
-  /// config registry is copied only when it differs, so the steady
-  /// restore path allocates nothing.
+  /// config registry is copied only when it differs (map copy-assignment
+  /// re-constructs every node), so the steady restore path allocates
+  /// nothing.
   void restore_from(const Snapshot& snapshot);
 
  private:
@@ -250,12 +259,8 @@ class Hypervisor {
   bool check_entry_integrity(const arch::EntryFrame& frame);
 
   platform::Board* board_;
-  bool enabled_ = false;
-  bool panicked_ = false;
-  std::string panic_reason_;
-  Counters counters_;
+  State state_;
   EntryHook hook_;
-  CellId next_cell_id_ = 1;
   /// Fold a dying cell's TLB counters into the retired tally (call before
   /// any cells_.erase()/clear() so stage2_tlb_* stays monotonic).
   void retire_tlb_counters(const Cell& cell) noexcept;
@@ -263,7 +268,6 @@ class Hypervisor {
 
   std::map<CellId, std::unique_ptr<Cell>> cells_;
   std::map<std::uint64_t, CellConfig> config_registry_;
-  std::array<CellId, irq::kMaxCpus> cpu_owner_{};
   /// Monotonic instrumentation (see stage2_tlb_hits): survives snapshot
   /// restore (power-on included) by design.
   std::uint64_t retired_tlb_hits_ = 0;

@@ -8,15 +8,15 @@
 namespace mcs::jh {
 
 void Machine::bind_guest(CellId cell, GuestImage& image) {
-  if (cell < images_.size()) images_[cell] = &image;
+  if (cell < state_.images.size()) state_.images[cell] = &image;
 }
 
 void Machine::unbind_guest(CellId cell) {
-  if (cell < images_.size()) images_[cell] = nullptr;
+  if (cell < state_.images.size()) state_.images[cell] = nullptr;
 }
 
 GuestImage* Machine::guest_for(CellId cell) noexcept {
-  return cell < images_.size() ? images_[cell] : nullptr;
+  return cell < state_.images.size() ? state_.images[cell] : nullptr;
 }
 
 void Machine::run_tick() {
@@ -27,7 +27,7 @@ void Machine::run_tick() {
   for (int cpu = 0; cpu < board_->num_cpus(); ++cpu) {
     arch::Cpu& core = board_->cpu(cpu);
     if (core.power_state() == arch::PowerState::Booting) {
-      started_[static_cast<std::size_t>(cpu)] = false;
+      state_.started[static_cast<std::size_t>(cpu)] = false;
       hv_->cpu_bringup_entry(cpu);
     }
     if (hv_->is_panicked()) return;
@@ -36,10 +36,10 @@ void Machine::run_tick() {
     Cell* cell = hv_->cell_on_cpu(cpu);
     GuestImage* image = cell != nullptr ? guest_for(cell->id()) : nullptr;
     if (cell != nullptr && image != nullptr &&
-        !started_[static_cast<std::size_t>(cpu)]) {
+        !state_.started[static_cast<std::size_t>(cpu)]) {
       GuestContext ctx(*hv_, *cell, cpu);
       image->on_start(ctx);
-      started_[static_cast<std::size_t>(cpu)] = true;
+      state_.started[static_cast<std::size_t>(cpu)] = true;
     }
     deliver_irqs(cpu);
     if (hv_->is_panicked()) return;
@@ -58,7 +58,7 @@ void Machine::deliver_irqs(int cpu) {
     Cell* cell = hv_->cell_on_cpu(cpu);
     GuestImage* image = cell != nullptr ? guest_for(cell->id()) : nullptr;
     if (cell == nullptr || image == nullptr) continue;
-    if (!started_[static_cast<std::size_t>(cpu)]) continue;
+    if (!state_.started[static_cast<std::size_t>(cpu)]) continue;
 
     GuestContext ctx(*hv_, *cell, cpu);
     switch (delivery->outcome) {
@@ -81,7 +81,7 @@ void Machine::run_guest_quantum(int cpu) {
   Cell* cell = hv_->cell_on_cpu(cpu);
   if (cell == nullptr || cell->state() != CellState::Running) return;
   GuestImage* image = guest_for(cell->id());
-  if (image == nullptr || !started_[static_cast<std::size_t>(cpu)]) return;
+  if (image == nullptr || !state_.started[static_cast<std::size_t>(cpu)]) return;
   GuestContext ctx(*hv_, *cell, cpu);
   image->run_quantum(ctx);
 }
@@ -114,7 +114,7 @@ std::uint64_t Machine::inert_span(util::Ticks target) const {
 void Machine::run_until(util::Ticks target) {
   while (board_->now() < target) {
     std::uint64_t leap = 0;
-    if (policy_ == TickPolicy::EventDriven) leap = inert_span(target);
+    if (state_.policy == TickPolicy::EventDriven) leap = inert_span(target);
     if (leap == 0) {
       run_tick();
       continue;
@@ -193,7 +193,7 @@ void GuestContext::console_putc(char c) {
       console.uart_base + platform::kUartThr, static_cast<std::uint32_t>(
           static_cast<unsigned char>(c)));
   if (status.is_ok() && console.kind == ConsoleKind::Passthrough) {
-    ++cell_->console_bytes;
+    cell_->count_console_byte();
   }
 }
 

@@ -48,32 +48,27 @@ class Machine {
   /// is owned by the caller and ticks after each board tick.
   void install_watchdog(CellWatchdog* watchdog) noexcept { watchdog_ = watchdog; }
 
-  void set_tick_policy(TickPolicy policy) noexcept { policy_ = policy; }
-  [[nodiscard]] TickPolicy tick_policy() const noexcept { return policy_; }
+  void set_tick_policy(TickPolicy policy) noexcept { state_.policy = policy; }
+  [[nodiscard]] TickPolicy tick_policy() const noexcept { return state_.policy; }
 
   // --- snapshot / restore ------------------------------------------------
   /// Guest images are testbed-owned with stable addresses, so the binding
-  /// table snapshots as raw pointers. The watchdog is caller-installed per
-  /// run (never live at capture) and is not part of the snapshot: restore
-  /// always uninstalls it. Board/hypervisor references are untouched.
-  struct Snapshot {
-    std::array<GuestImage*, 16> images{};
-    std::array<bool, irq::kMaxCpus> started{};
+  /// table is state as raw pointers. The watchdog is caller-installed per
+  /// run (never live at capture) and is not state: restore always
+  /// uninstalls it. Board/hypervisor references are untouched.
+  struct State {
+    std::array<GuestImage*, 16> images{};      ///< by cell id, small & flat
+    std::array<bool, irq::kMaxCpus> started{};  ///< on_start() issued per cpu
     TickPolicy policy = TickPolicy::EventDriven;
 
-    bool operator==(const Snapshot&) const = default;
+    bool operator==(const State&) const = default;
   };
+  using Snapshot = State;
 
-  void snapshot_to(Snapshot& out) const noexcept {
-    out.images = images_;
-    out.started = started_;
-    out.policy = policy_;
-  }
+  void snapshot_to(Snapshot& out) const noexcept { out = state_; }
 
   void restore_from(const Snapshot& snapshot) noexcept {
-    images_ = snapshot.images;
-    started_ = snapshot.started;
-    policy_ = snapshot.policy;
+    state_ = snapshot;
     watchdog_ = nullptr;
   }
 
@@ -107,9 +102,7 @@ class Machine {
   platform::Board* board_;
   Hypervisor* hv_;
   CellWatchdog* watchdog_ = nullptr;
-  TickPolicy policy_ = TickPolicy::EventDriven;
-  std::array<GuestImage*, 16> images_{};         // by cell id, small & flat
-  std::array<bool, irq::kMaxCpus> started_{};    // on_start() issued per cpu
+  State state_;
 };
 
 }  // namespace mcs::jh

@@ -70,8 +70,8 @@ void CellWatchdog::check_cell(Cell& cell) {
   }
 
   // 2. Liveness progress: console bytes or hypervisor entries must move.
-  const std::uint64_t entries = cell.hypercalls + cell.stage2_faults;
-  if (cell.console_bytes == state.last_console_bytes &&
+  const std::uint64_t entries = cell.hypercalls() + cell.stage2_faults();
+  if (cell.console_bytes() == state.last_console_bytes &&
       entries == state.last_entries) {
     if (++state.silent_checks >= options_.silence_threshold) {
       raise(cell, WatchdogAlarm::NoProgress,
@@ -83,7 +83,7 @@ void CellWatchdog::check_cell(Cell& cell) {
     state.silent_checks = 0;
     state.alarmed = false;  // the incident (if any) is over
   }
-  state.last_console_bytes = cell.console_bytes;
+  state.last_console_bytes = cell.console_bytes();
   state.last_entries = entries;
 }
 

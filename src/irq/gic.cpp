@@ -6,13 +6,13 @@
 namespace mcs::irq {
 
 Gic::Gic(int num_cpus) : num_cpus_(std::clamp(num_cpus, 1, kMaxCpus)) {
-  priority_mask_.fill(kIdlePriority);  // everything unmasked by default
+  state_.priority_mask.fill(kIdlePriority);  // everything unmasked by default
   // Banked per-CPU lines (SGIs and PPIs) come out of reset enabled at a
   // mid-range priority — the state Linux/Jailhouse leave them in before
   // any guest runs, folded into power-on for the functional model.
   for (IrqId irq = 0; irq < kFirstSpi; ++irq) {
-    lines_[irq].enabled = true;
-    lines_[irq].priority = kDefaultPriority;
+    state_.lines[irq].enabled = true;
+    state_.lines[irq].priority = kDefaultPriority;
   }
 }
 
@@ -32,33 +32,33 @@ util::Status Gic::check_cpu(int cpu) const {
 
 util::Status Gic::enable(IrqId irq) {
   MCS_RETURN_IF_ERROR(check_irq(irq));
-  lines_[irq].enabled = true;
+  state_.lines[irq].enabled = true;
   // A line enabled while still at the idle priority would be deliverable
   // never; give it the reset default (guests may override via IPRIORITYR).
-  if (lines_[irq].priority == kIdlePriority) {
-    lines_[irq].priority = kDefaultPriority;
+  if (state_.lines[irq].priority == kIdlePriority) {
+    state_.lines[irq].priority = kDefaultPriority;
   }
   return util::ok_status();
 }
 
 util::Status Gic::disable(IrqId irq) {
   MCS_RETURN_IF_ERROR(check_irq(irq));
-  lines_[irq].enabled = false;
+  state_.lines[irq].enabled = false;
   return util::ok_status();
 }
 
 bool Gic::is_enabled(IrqId irq) const noexcept {
-  return irq < kNumIrqs && lines_[irq].enabled;
+  return irq < kNumIrqs && state_.lines[irq].enabled;
 }
 
 util::Status Gic::set_priority(IrqId irq, std::uint8_t priority) {
   MCS_RETURN_IF_ERROR(check_irq(irq));
-  lines_[irq].priority = priority;
+  state_.lines[irq].priority = priority;
   return util::ok_status();
 }
 
 std::uint8_t Gic::priority(IrqId irq) const noexcept {
-  return irq < kNumIrqs ? lines_[irq].priority : kIdlePriority;
+  return irq < kNumIrqs ? state_.lines[irq].priority : kIdlePriority;
 }
 
 util::Status Gic::set_target(IrqId irq, int cpu) {
@@ -67,19 +67,19 @@ util::Status Gic::set_target(IrqId irq, int cpu) {
   if (!is_spi(irq)) {
     return util::invalid_argument("only SPIs are routable");
   }
-  lines_[irq].target = cpu;
+  state_.lines[irq].target = cpu;
   return util::ok_status();
 }
 
 int Gic::target(IrqId irq) const noexcept {
-  return irq < kNumIrqs ? lines_[irq].target : 0;
+  return irq < kNumIrqs ? state_.lines[irq].target : 0;
 }
 
 util::Status Gic::raise_spi(IrqId irq) {
   // Valid-wiring fast path first: peripherals assert their line on every
   // event, so don't pay the Status validation round-trips per raise.
   if (is_spi(irq)) [[likely]] {
-    mark_pending(lines_[irq].target, irq);
+    mark_pending(state_.lines[irq].target, irq);
     return util::ok_status();
   }
   MCS_RETURN_IF_ERROR(check_irq(irq));
@@ -110,13 +110,13 @@ util::Status Gic::send_sgi(int source_cpu, int target_cpu, IrqId irq) {
 
 void Gic::set_priority_mask(int cpu, std::uint8_t mask) noexcept {
   if (cpu >= 0 && cpu < num_cpus_) {
-    priority_mask_[static_cast<std::size_t>(cpu)] = mask;
+    state_.priority_mask[static_cast<std::size_t>(cpu)] = mask;
   }
 }
 
 std::uint8_t Gic::priority_mask(int cpu) const noexcept {
   return (cpu >= 0 && cpu < num_cpus_)
-             ? priority_mask_[static_cast<std::size_t>(cpu)]
+             ? state_.priority_mask[static_cast<std::size_t>(cpu)]
              : kIdlePriority;
 }
 
@@ -133,9 +133,9 @@ IrqId Gic::peek(int cpu) const noexcept {
       const auto irq =
           static_cast<IrqId>(word * 64 + static_cast<unsigned>(std::countr_zero(bits)));
       bits &= bits - 1;
-      const Line& line = lines_[irq];
+      const Line& line = state_.lines[irq];
       if (!line.enabled || line.active[cpu_index]) continue;
-      if (line.priority >= priority_mask_[cpu_index]) continue;  // masked
+      if (line.priority >= state_.priority_mask[cpu_index]) continue;  // masked
       if (line.priority < best_priority) {
         best = irq;
         best_priority = line.priority;
@@ -150,7 +150,7 @@ IrqId Gic::acknowledge(int cpu) noexcept {
   if (irq == kSpuriousIrq) return kSpuriousIrq;
   const auto cpu_index = static_cast<std::size_t>(cpu);
   clear_pending(cpu, irq);
-  Line& line = lines_[irq];
+  Line& line = state_.lines[irq];
   line.active[cpu_index] = true;
   ++line.delivered;
   return irq;
@@ -159,7 +159,7 @@ IrqId Gic::acknowledge(int cpu) noexcept {
 util::Status Gic::end_of_interrupt(int cpu, IrqId irq) {
   MCS_RETURN_IF_ERROR(check_irq(irq));
   MCS_RETURN_IF_ERROR(check_cpu(cpu));
-  Line& line = lines_[irq];
+  Line& line = state_.lines[irq];
   const auto cpu_index = static_cast<std::size_t>(cpu);
   if (!line.active[cpu_index]) {
     return util::invalid_argument("EOI for non-active irq " + std::to_string(irq));
@@ -170,18 +170,18 @@ util::Status Gic::end_of_interrupt(int cpu, IrqId irq) {
 
 bool Gic::is_pending(IrqId irq, int cpu) const noexcept {
   return irq < kNumIrqs && cpu >= 0 && cpu < num_cpus_ &&
-         lines_[irq].pending[static_cast<std::size_t>(cpu)];
+         state_.lines[irq].pending[static_cast<std::size_t>(cpu)];
 }
 
 bool Gic::is_active(IrqId irq, int cpu) const noexcept {
   return irq < kNumIrqs && cpu >= 0 && cpu < num_cpus_ &&
-         lines_[irq].active[static_cast<std::size_t>(cpu)];
+         state_.lines[irq].active[static_cast<std::size_t>(cpu)];
 }
 
 void Gic::reset_cpu(int cpu) noexcept {
   if (cpu < 0 || cpu >= num_cpus_) return;
   const auto cpu_index = static_cast<std::size_t>(cpu);
-  for (Line& line : lines_) {
+  for (Line& line : state_.lines) {
     line.pending[cpu_index] = false;
     line.active[cpu_index] = false;
   }
@@ -192,7 +192,7 @@ void Gic::rebuild_pending_bits() noexcept {
   for (PendingBits& bits : pending_bits_) bits.fill(0);
   for (IrqId irq = 0; irq < kNumIrqs; ++irq) {
     for (int cpu = 0; cpu < num_cpus_; ++cpu) {
-      if (lines_[irq].pending[static_cast<std::size_t>(cpu)]) {
+      if (state_.lines[irq].pending[static_cast<std::size_t>(cpu)]) {
         pending_bits_[static_cast<std::size_t>(cpu)][irq / 64] |=
             std::uint64_t{1} << (irq % 64);
       }
@@ -201,7 +201,7 @@ void Gic::rebuild_pending_bits() noexcept {
 }
 
 std::uint64_t Gic::delivered(IrqId irq) const noexcept {
-  return irq < kNumIrqs ? lines_[irq].delivered : 0;
+  return irq < kNumIrqs ? state_.lines[irq].delivered : 0;
 }
 
 }  // namespace mcs::irq

@@ -106,11 +106,6 @@ class Gic {
   [[nodiscard]] std::uint64_t delivered(IrqId irq) const noexcept;
 
   // --- snapshot / restore (testbed warm-start) --------------------------
-  struct Snapshot;
-  void snapshot_to(Snapshot& out) const noexcept;
-  void restore_from(const Snapshot& snapshot) noexcept;
-
- private:
   struct Line {
     bool enabled = false;
     std::uint8_t priority = kIdlePriority;
@@ -122,7 +117,27 @@ class Gic {
     bool operator==(const Line&) const = default;
   };
 
-  /// Per-CPU pending summary: bit `irq` mirrors lines_[irq].pending[cpu].
+  /// The whole distributor + CPU-interface state, declared once and
+  /// trivially copyable: the state block is the snapshot. The pending
+  /// bitmap is a derived cache, not state — restore rebuilds it.
+  struct State {
+    std::array<Line, kNumIrqs> lines{};
+    std::array<std::uint8_t, kMaxCpus> priority_mask{};
+
+    bool operator==(const State&) const = default;
+  };
+  using Snapshot = State;
+
+  void snapshot_to(Snapshot& out) const noexcept { out = state_; }
+
+  void restore_from(const Snapshot& snapshot) noexcept {
+    state_ = snapshot;
+    rebuild_pending_bits();
+  }
+
+ private:
+
+  /// Per-CPU pending summary: bit `irq` mirrors lines[irq].pending[cpu].
   /// peek() visits only set bits, so the machine's once-per-tick-per-CPU
   /// "anything deliverable?" poll costs two word compares when quiescent
   /// instead of a scan over all kNumIrqs lines. Every site that writes a
@@ -132,12 +147,12 @@ class Gic {
   using PendingBits = std::array<std::uint64_t, kPendingWords>;
 
   void mark_pending(int cpu, IrqId irq) noexcept {
-    lines_[irq].pending[static_cast<std::size_t>(cpu)] = true;
+    state_.lines[irq].pending[static_cast<std::size_t>(cpu)] = true;
     pending_bits_[static_cast<std::size_t>(cpu)][irq / 64] |=
         std::uint64_t{1} << (irq % 64);
   }
   void clear_pending(int cpu, IrqId irq) noexcept {
-    lines_[irq].pending[static_cast<std::size_t>(cpu)] = false;
+    state_.lines[irq].pending[static_cast<std::size_t>(cpu)] = false;
     pending_bits_[static_cast<std::size_t>(cpu)][irq / 64] &=
         ~(std::uint64_t{1} << (irq % 64));
   }
@@ -147,29 +162,8 @@ class Gic {
   [[nodiscard]] util::Status check_cpu(int cpu) const;
 
   int num_cpus_;
-  std::array<Line, kNumIrqs> lines_{};
-  std::array<std::uint8_t, kMaxCpus> priority_mask_{};
+  State state_;
   std::array<PendingBits, kMaxCpus> pending_bits_{};
 };
-
-/// The whole distributor + CPU-interface state, trivially copyable —
-/// capture and restore are plain struct assignments.
-struct Gic::Snapshot {
-  std::array<Line, kNumIrqs> lines{};
-  std::array<std::uint8_t, kMaxCpus> priority_mask{};
-
-  bool operator==(const Snapshot&) const = default;
-};
-
-inline void Gic::snapshot_to(Snapshot& out) const noexcept {
-  out.lines = lines_;
-  out.priority_mask = priority_mask_;
-}
-
-inline void Gic::restore_from(const Snapshot& snapshot) noexcept {
-  lines_ = snapshot.lines;
-  priority_mask_ = snapshot.priority_mask;
-  rebuild_pending_bits();
-}
 
 }  // namespace mcs::irq

@@ -156,17 +156,15 @@ class MemoryMap {
     out.last_fault = last_fault_;
   }
 
-  /// Compare-and-skip assignment: on the steady executor path the map is
-  /// unchanged between capture and restore, so restore performs no vector
-  /// or string allocations. The generation is bumped even when nothing
-  /// changed — restore moves the map to a (possibly) different point in
-  /// time, so every cached translation must revalidate (the stale-TLB-
-  /// after-restore tests pin this).
+  /// Plain assignment (the region vector and its names reuse their
+  /// capacity, so the steady restore path allocates nothing), then the
+  /// derived sorted index is rebuilt. The generation is bumped even when
+  /// nothing changed — restore moves the map to a (possibly) different
+  /// point in time, so every cached translation must revalidate (the
+  /// stale-TLB-after-restore tests pin this).
   void restore_from(const Snapshot& snapshot) {
-    if (regions_ != snapshot.regions) {
-      regions_ = snapshot.regions;
-      rebuild_sorted();
-    }
+    regions_ = snapshot.regions;
+    rebuild_sorted();
     last_fault_ = snapshot.last_fault;
     ++generation_;
   }

@@ -9,8 +9,8 @@ Gpio::Gpio(std::string name, PhysAddr base) : Device(std::move(name), base, 0x10
 
 util::Expected<std::uint32_t> Gpio::mmio_read(std::uint64_t offset) {
   switch (offset) {
-    case kGpioData: return data_;
-    case kGpioDir: return direction_;
+    case kGpioData: return state_.data;
+    case kGpioDir: return state_.direction;
     default:
       return util::invalid_argument("gpio read at bad offset " + util::hex(offset));
   }
@@ -19,27 +19,30 @@ util::Expected<std::uint32_t> Gpio::mmio_read(std::uint64_t offset) {
 util::Status Gpio::mmio_write(std::uint64_t offset, std::uint32_t value) {
   switch (offset) {
     case kGpioData: {
-      const bool led_before = util::test_bit(data_, kGreenLedLine);
-      data_ = value;
-      if (util::test_bit(data_, kGreenLedLine) != led_before) ++led_toggles_;
+      const bool led_before = util::test_bit(state_.data, kGreenLedLine);
+      state_.data = value;
+      if (util::test_bit(state_.data, kGreenLedLine) != led_before) ++state_.led_toggles;
       return util::ok_status();
     }
     case kGpioDir:
-      direction_ = value;
+      state_.direction = value;
       return util::ok_status();
     default:
       return util::invalid_argument("gpio write at bad offset " + util::hex(offset));
   }
 }
 
-bool Gpio::led_on() const noexcept { return util::test_bit(data_, kGreenLedLine); }
+bool Gpio::led_on() const noexcept { return util::test_bit(state_.data, kGreenLedLine); }
 
 void Gpio::set_line(unsigned line, bool high) {
-  const bool led_before = util::test_bit(data_, kGreenLedLine);
-  data_ = high ? util::set_bit(data_, line) : util::clear_bit(data_, line);
-  if (util::test_bit(data_, kGreenLedLine) != led_before) ++led_toggles_;
+  const bool led_before = util::test_bit(state_.data, kGreenLedLine);
+  state_.data =
+      high ? util::set_bit(state_.data, line) : util::clear_bit(state_.data, line);
+  if (util::test_bit(state_.data, kGreenLedLine) != led_before) ++state_.led_toggles;
 }
 
-bool Gpio::line(unsigned line) const noexcept { return util::test_bit(data_, line); }
+bool Gpio::line(unsigned line) const noexcept {
+  return util::test_bit(state_.data, line);
+}
 
 }  // namespace mcs::platform

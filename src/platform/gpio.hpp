@@ -26,37 +26,29 @@ class Gpio final : public Device {
   util::Status mmio_write(std::uint64_t offset, std::uint32_t value) override;
 
   [[nodiscard]] bool led_on() const noexcept;
-  [[nodiscard]] std::uint64_t led_toggles() const noexcept { return led_toggles_; }
+  [[nodiscard]] std::uint64_t led_toggles() const noexcept { return state_.led_toggles; }
 
   /// Guest-facing helpers (bypass MMIO encoding).
   void set_line(unsigned line, bool high);
   [[nodiscard]] bool line(unsigned line) const noexcept;
 
   // --- snapshot / restore (testbed warm-start) --------------------------
-  struct Snapshot {
+  /// The line registers and the LED edge count; the state block is the
+  /// snapshot.
+  struct State {
     std::uint32_t data = 0;
     std::uint32_t direction = 0;
     std::uint64_t led_toggles = 0;
 
-    bool operator==(const Snapshot&) const = default;
+    bool operator==(const State&) const = default;
   };
+  using Snapshot = State;
 
-  void snapshot_to(Snapshot& out) const noexcept {
-    out.data = data_;
-    out.direction = direction_;
-    out.led_toggles = led_toggles_;
-  }
-
-  void restore_from(const Snapshot& snapshot) noexcept {
-    data_ = snapshot.data;
-    direction_ = snapshot.direction;
-    led_toggles_ = snapshot.led_toggles;
-  }
+  void snapshot_to(Snapshot& out) const noexcept { out = state_; }
+  void restore_from(const Snapshot& snapshot) noexcept { state_ = snapshot; }
 
  private:
-  std::uint32_t data_ = 0;
-  std::uint32_t direction_ = 0;
-  std::uint64_t led_toggles_ = 0;
+  State state_;
 };
 
 }  // namespace mcs::platform

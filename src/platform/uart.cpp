@@ -10,19 +10,19 @@ Uart::Uart(std::string name, PhysAddr base, irq::Gic* gic, irq::IrqId tx_irq)
 util::Expected<std::uint32_t> Uart::mmio_read(std::uint64_t offset) {
   switch (offset) {
     case kUartRbr: {
-      if (rx_fifo_.empty()) return std::uint32_t{0};
+      if (state_.rx_fifo.empty()) return std::uint32_t{0};
       const auto byte = static_cast<std::uint32_t>(
-          static_cast<unsigned char>(rx_fifo_.front()));
-      rx_fifo_.erase(rx_fifo_.begin());
+          static_cast<unsigned char>(state_.rx_fifo.front()));
+      state_.rx_fifo.erase(state_.rx_fifo.begin());
       return byte;
     }
     case kUartIer:
-      return static_cast<std::uint32_t>(tx_irq_enabled_ ? 1 : 0);
+      return static_cast<std::uint32_t>(state_.tx_irq_enabled ? 1 : 0);
     case kUartLsr: {
       // Transmitter is always ready in the model; data-ready mirrors the
       // RX FIFO.
       std::uint32_t lsr = kLsrThrEmpty;
-      if (!rx_fifo_.empty()) lsr |= kLsrDataReady;
+      if (!state_.rx_fifo.empty()) lsr |= kLsrDataReady;
       return lsr;
     }
     default:
@@ -34,12 +34,12 @@ util::Status Uart::mmio_write(std::uint64_t offset, std::uint32_t value) {
   switch (offset) {
     case kUartThr:
       captured_.push_back(static_cast<char>(value & 0xff));
-      if (tx_irq_enabled_ && gic_ != nullptr) {
+      if (state_.tx_irq_enabled && gic_ != nullptr) {
         MCS_RETURN_IF_ERROR(gic_->raise_spi(tx_irq_));
       }
       return util::ok_status();
     case kUartIer:
-      tx_irq_enabled_ = (value & 1) != 0;
+      state_.tx_irq_enabled = (value & 1) != 0;
       return util::ok_status();
     case kUartLsr:
       return util::perm("uart LSR is read-only");
@@ -62,6 +62,6 @@ std::vector<std::string> Uart::lines() const {
   return out;
 }
 
-void Uart::feed_rx(std::string_view data) { rx_fifo_.append(data); }
+void Uart::feed_rx(std::string_view data) { state_.rx_fifo.append(data); }
 
 }  // namespace mcs::platform

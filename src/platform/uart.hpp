@@ -54,35 +54,40 @@ class Uart final : public Device {
   void clear_capture() noexcept { captured_.clear(); }
 
   // --- snapshot / restore (testbed warm-start) --------------------------
-  /// The capture buffer is append-only between restores, so its
-  /// snapshot is just a length: restore truncates back to the captured
-  /// prefix (no byte copies, no allocations).
-  struct Snapshot {
-    std::size_t captured_size = 0;
+  /// The port's run-mutable registers, declared once.
+  struct State {
     std::string rx_fifo;
     bool tx_irq_enabled = false;
+
+    bool operator==(const State&) const = default;
+  };
+
+  /// The capture buffer is append-only between restores, so its
+  /// snapshot is just a length: restore assigns the state block, then
+  /// truncates the capture back to the captured prefix (no byte copies,
+  /// no allocations).
+  struct Snapshot {
+    State state;
+    std::size_t captured_size = 0;
 
     bool operator==(const Snapshot&) const = default;
   };
 
   void snapshot_to(Snapshot& out) const {
+    out.state = state_;
     out.captured_size = captured_.size();
-    out.rx_fifo = rx_fifo_;
-    out.tx_irq_enabled = tx_irq_enabled_;
   }
 
   void restore_from(const Snapshot& snapshot) {
+    state_ = snapshot.state;
     captured_.resize(snapshot.captured_size);
-    if (rx_fifo_ != snapshot.rx_fifo) rx_fifo_ = snapshot.rx_fifo;
-    tx_irq_enabled_ = snapshot.tx_irq_enabled;
   }
 
  private:
   irq::Gic* gic_;
   irq::IrqId tx_irq_;
   std::string captured_;
-  std::string rx_fifo_;
-  bool tx_irq_enabled_ = false;
+  State state_;
 };
 
 }  // namespace mcs::platform

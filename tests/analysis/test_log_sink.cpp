@@ -272,6 +272,16 @@ TEST(RunLogParser, RejectsMalformedLines) {
   EXPECT_EQ(parsed.malformed_lines, 1u);
   ASSERT_EQ(parsed.entries.size(), 1u);
   EXPECT_EQ(parsed.entries[0].uart_bytes, 9u);
+
+  // A run index past 32 bits is malformed in both parsers, never wrapped
+  // into a plausible index that would let resume trust the log.
+  EXPECT_FALSE(parse_run_log_line("run 4294967297: correct — ok "
+                                  "(injections=1, usart_bytes=9)")
+                   .is_ok());
+  const RunLogScan scan = scan_run_log(
+      "run 4294967296: correct — ok (injections=1, usart_bytes=9)\n");
+  EXPECT_EQ(scan.entries, 0u);
+  EXPECT_EQ(scan.malformed_lines, 1u);
 }
 
 }  // namespace

@@ -113,9 +113,9 @@ TEST(Cpu, PowerStateNames) {
 
 TEST(Cpu, EntryCountersStartAtZero) {
   Cpu cpu(0);
-  EXPECT_EQ(cpu.trap_entries, 0u);
-  EXPECT_EQ(cpu.hvc_entries, 0u);
-  EXPECT_EQ(cpu.irq_entries, 0u);
+  EXPECT_EQ(cpu.trap_entries(), 0u);
+  EXPECT_EQ(cpu.hvc_entries(), 0u);
+  EXPECT_EQ(cpu.irq_entries(), 0u);
 }
 
 }  // namespace

@@ -82,7 +82,7 @@ TEST_F(FreeRtosWorkloadTest, GeneratesHvcAndTrapTraffic) {
   const jh::Counters& after = testbed_.hypervisor().counters();
   EXPECT_GT(after.hvcs, before.hvcs);              // debug-console heartbeats
   EXPECT_GT(after.mmio_emulations, before.mmio_emulations);  // GICD pokes
-  EXPECT_GT(testbed_.board().cpu(1).trap_entries, 0u);
+  EXPECT_GT(testbed_.board().cpu(1).trap_entries(), 0u);
 }
 
 TEST_F(FreeRtosWorkloadTest, UnknownIrqsAreCountedNotFatal) {

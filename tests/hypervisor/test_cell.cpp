@@ -63,9 +63,9 @@ TEST_F(CellTest, StateNames) {
 }
 
 TEST_F(CellTest, StatisticsStartAtZero) {
-  EXPECT_EQ(cell_.console_bytes, 0u);
-  EXPECT_EQ(cell_.hypercalls, 0u);
-  EXPECT_EQ(cell_.stage2_faults, 0u);
+  EXPECT_EQ(cell_.console_bytes(), 0u);
+  EXPECT_EQ(cell_.hypercalls(), 0u);
+  EXPECT_EQ(cell_.stage2_faults(), 0u);
 }
 
 }  // namespace

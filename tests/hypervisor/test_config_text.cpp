@@ -85,6 +85,10 @@ TEST(ConfigText, MalformedInputsRejectedWithLineNumbers) {
       {"cell \"x\"\nregion r phys=1 virt=2 size=3\nend\n", "region"},
       {"cell \"x\"\nregion r phys=1 virt=2 size=3 flags=qq\nend\n", "flag"},
       {"cell \"x\"\nirq\nend\n", "irq"},
+      // Values wider than the field are rejected, not truncated.
+      {"cell \"x\"\ncpus 0x100000001\nend\n", "line 2: bad cpu id"},
+      {"cell \"x\"\nentry 0x178000000\nend\n", "line 2: bad entry"},
+      {"cell \"x\"\nirq 0x100000022\nend\n", "line 2: bad irq"},
       {"cell \"x\"\nbogus 7\nend\n", "unknown keyword"},
       {"cell \"x\"\nend\ntrailing\n", "after 'end'"},
   };

@@ -141,7 +141,7 @@ TEST_F(IrqchipTest, IrqCountersIncrement) {
   (void)board_.gic().raise_ppi(0, platform::kVirtualTimerPpi);
   (void)hv_.irqchip_handle_irq(0);
   EXPECT_EQ(hv_.counters().irqs, 1u);
-  EXPECT_EQ(board_.cpu(0).irq_entries, 1u);
+  EXPECT_EQ(board_.cpu(0).irq_entries(), 1u);
 }
 
 }  // namespace

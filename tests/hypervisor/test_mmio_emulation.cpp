@@ -43,7 +43,7 @@ TEST_F(MmioTest, TrappedConsoleWriteReachesUart1) {
       1, platform::kUart1Base + platform::kUartThr, 'Z', true);
   EXPECT_EQ(outcome.action, TrapAction::Resume);
   EXPECT_EQ(board_.uart1().captured(), "Z");
-  EXPECT_EQ(hv_.find_cell(cell_id_)->console_bytes, 1u);
+  EXPECT_EQ(hv_.find_cell(cell_id_)->console_bytes(), 1u);
   EXPECT_EQ(hv_.counters().mmio_emulations, 1u);
 }
 
@@ -125,7 +125,7 @@ TEST_F(MmioTest, AddressOutsideAllWindowsParks0x24) {
 TEST_F(MmioTest, Stage2FaultCounterPerCell) {
   (void)hv_.guest_data_abort(1, platform::kUart1Base, 'a', true);
   (void)hv_.guest_data_abort(1, kGicDistBase, 0, false);
-  EXPECT_EQ(hv_.find_cell(cell_id_)->stage2_faults, 2u);
+  EXPECT_EQ(hv_.find_cell(cell_id_)->stage2_faults(), 2u);
 }
 
 }  // namespace

@@ -187,7 +187,7 @@ TEST_F(TrapTest, TrapCountersIncrement) {
       frame_for(1, Syndrome::make(ExceptionClass::Wfx, 0));
   (void)hv_.arch_handle_trap(frame);
   EXPECT_EQ(hv_.counters().traps, 1u);
-  EXPECT_EQ(board_.cpu(1).trap_entries, 1u);
+  EXPECT_EQ(board_.cpu(1).trap_entries(), 1u);
 }
 
 }  // namespace

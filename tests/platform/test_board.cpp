@@ -192,11 +192,12 @@ TEST(Board, ResetZeroesDramInPlaceWithoutFreeingPages) {
 TEST(Board, ResetZeroesCpuProfilingCounters) {
   BananaPiBoard board;
   const Board::Snapshot power_on = power_on_image(board);
-  board.cpu(0).trap_entries = 7;
-  board.cpu(1).irq_entries = 3;
+  for (int i = 0; i < 7; ++i) board.cpu(0).count_trap_entry();
+  for (int i = 0; i < 3; ++i) board.cpu(1).count_irq_entry();
+  ASSERT_EQ(board.cpu(0).trap_entries(), 7u);
   board.restore_from(power_on);
-  EXPECT_EQ(board.cpu(0).trap_entries, 0u);
-  EXPECT_EQ(board.cpu(1).irq_entries, 0u);
+  EXPECT_EQ(board.cpu(0).trap_entries(), 0u);
+  EXPECT_EQ(board.cpu(1).irq_entries(), 0u);
 }
 
 TEST(Board, EventLogIsShared) {
