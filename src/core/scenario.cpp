@@ -306,6 +306,12 @@ void ScenarioRegistry::add(std::unique_ptr<Scenario> scenario) {
   impl_->scenarios.insert_or_assign(std::move(key), std::move(scenario));
 }
 
+void ScenarioRegistry::remove(std::string_view name) {
+  const std::lock_guard<std::mutex> lock(impl_->mutex);
+  const auto it = impl_->scenarios.find(name);
+  if (it != impl_->scenarios.end()) impl_->scenarios.erase(it);
+}
+
 const Scenario* ScenarioRegistry::find(std::string_view name) const {
   const std::lock_guard<std::mutex> lock(impl_->mutex);
   const auto it = impl_->scenarios.find(name);

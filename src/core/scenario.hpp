@@ -94,6 +94,10 @@ class ScenarioRegistry {
   /// with the same key (returns the replaced scenario's slot silently).
   void add(std::unique_ptr<Scenario> scenario);
 
+  /// Unregister `name`; a no-op when unknown. Pointers from find() for
+  /// that name dangle afterwards.
+  void remove(std::string_view name);
+
   /// nullptr when unknown.
   [[nodiscard]] const Scenario* find(std::string_view name) const;
 

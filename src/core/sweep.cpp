@@ -58,6 +58,11 @@ util::Status validate_grid(const SweepSpec& spec) {
   for (const std::uint32_t rate : spec.rates) {
     if (rate == 0) return util::invalid_argument("sweep rate must be ≥ 1");
   }
+  // The window closes at now + duration: the 32-bit bound runs and rates
+  // share keeps that sum from wrapping (or never arriving).
+  if (spec.duration_ticks > UINT32_MAX) {
+    return util::invalid_argument("sweep duration must be ≤ 4294967295 ticks");
+  }
   if (has_duplicates(spec.scenarios)) {
     return util::invalid_argument("duplicate scenario in sweep spec");
   }

@@ -12,33 +12,26 @@ Testbed::Testbed(std::unique_ptr<platform::Board> board)
                               : std::make_unique<platform::BananaPiBoard>()),
       hv_(*board_),
       machine_(*board_, hv_) {
-  // Nothing has touched DRAM yet, so the image holds no pages and its
-  // arena mark is the arena base.
+  // Nothing has touched DRAM yet, so the image holds no pages.
   capture_to(power_on_);
 }
 
 void Testbed::reset() {
-  // Rewinding to the base mark reclaims the post-boot snapshot's page
-  // payloads too — any held snapshot is gone.
   restore(power_on_);
   snapshot_valid_ = false;
 }
 
 void Testbed::capture_to(TestbedSnapshot& out) {
-  board_->snapshot_to(out.board, run_arena_);
+  board_->snapshot_to(out.board);
   hv_.snapshot_to(out.hv);
   machine_.snapshot_to(out.machine);
   linux_.snapshot_to(out.linux_root);
   freertos_.snapshot_to(out.freertos);
   osek_.snapshot_to(out.osek);
   out.state = state_;
-  out.arena_mark = run_arena_.mark();
-  out.bytes = out.board.dram.bytes();
 }
 
 void Testbed::capture_snapshot(const std::string& key) {
-  // The snapshot owns the arena base: drop previous snapshot + scratch.
-  run_arena_.reset();
   capture_to(snapshot_);
   snapshot_.key = key;
   snapshot_valid_ = true;
@@ -51,7 +44,6 @@ bool Testbed::restore_snapshot() {
 }
 
 void Testbed::restore(const TestbedSnapshot& snapshot) {
-  run_arena_.rewind_to(snapshot.arena_mark);
   board_->restore_from(snapshot.board);
   hv_.restore_from(snapshot.hv);
   machine_.restore_from(snapshot.machine);
@@ -162,9 +154,7 @@ Testbed::AccessCounters Testbed::access_counters() noexcept {
 Testbed::GoldenProfile Testbed::profile_golden(std::uint64_t ticks) {
   const int cpus = board_->num_cpus();
   const jh::Counters before = hv_.counters();
-  // Run-scoped analysis buffer: lives in the arena until the next reset.
-  std::uint64_t* traps_before =
-      run_arena_.allocate_array<std::uint64_t>(static_cast<std::size_t>(cpus));
+  std::vector<std::uint64_t> traps_before(static_cast<std::size_t>(cpus));
   for (int cpu = 0; cpu < cpus; ++cpu) {
     traps_before[static_cast<std::size_t>(cpu)] = board_->cpu(cpu).trap_entries();
   }

@@ -26,7 +26,6 @@
 #include "hypervisor/hypervisor.hpp"
 #include "hypervisor/machine.hpp"
 #include "platform/board.hpp"
-#include "util/arena.hpp"
 #include "util/status.hpp"
 
 namespace mcs::fi {
@@ -71,12 +70,11 @@ struct TestbedState {
 /// construction and restored by Testbed::reset(), and an optional
 /// post-boot image, captured after a slot's first boot for a given
 /// (board, tuning, scenario) identity key and restored by
-/// Testbed::restore_snapshot() instead of reset() + re-boot. Page
-/// payloads live in the testbed's run arena *below* `arena_mark`; per-run
-/// scratch is placed above the mark, and restore rewinds to it — so the
-/// snapshot survives any number of runs while run-scoped allocations are
-/// reclaimed. The power-on image holds no pages: its mark is the arena
-/// base, and restoring it zeroes the dirty DRAM superset.
+/// Testbed::restore_snapshot() instead of reset() + re-boot. A plain
+/// value: the DRAM pages are owned by `board.dram`, so a copy stays valid
+/// across any number of runs, resets and recaptures (see
+/// Testbed::restore() for where it may be restored). The power-on image
+/// holds no pages; restoring it zeroes the dirty DRAM set.
 struct TestbedSnapshot {
   platform::Board::Snapshot board;
   jh::Hypervisor::Snapshot hv;
@@ -86,9 +84,7 @@ struct TestbedSnapshot {
   guest::OsekImage::Snapshot osek;
   TestbedState state;
 
-  util::Arena::Mark arena_mark{};  ///< run-arena fill level owned by the snapshot
-  std::string key;                 ///< identity: board\x1ftuning\x1fscenario
-  std::size_t bytes = 0;           ///< captured DRAM payload bytes (dirty pages)
+  std::string key;  ///< identity: board\x1ftuning\x1fscenario
 
   bool operator==(const TestbedSnapshot&) const = default;
 };
@@ -111,23 +107,13 @@ class Testbed {
   /// to a freshly constructed one on the same board variant — the
   /// contract that lets fi::TestbedPool reuse a (board, testbed) slot
   /// across campaigns. Nothing is heap-allocated on this path in steady
-  /// state (asserted by the pool's zero-allocation test); run-scoped
-  /// arena storage is rewound, not freed.
+  /// state (asserted by the pool's zero-allocation test).
   void reset();
 
-  /// Run-scoped scratch arena: rewound by reset(), so anything placed
-  /// here lives exactly one run. Used for per-run analysis buffers
-  /// (golden-profile scratch); scenarios may use it the same way. Never
-  /// hand arena pointers to anything that outlives the run. While a
-  /// snapshot is held, its page payloads occupy the arena base and
-  /// restore_snapshot() rewinds only the scratch above them.
-  [[nodiscard]] util::Arena& run_arena() noexcept { return run_arena_; }
-
   // --- post-boot snapshot --------------------------------------------------
-  /// Capture the whole post-boot testbed state under `key`. Rewinds the
-  /// run arena first (the snapshot owns its base), so call only at a
-  /// run boundary — right after a scenario's setup + boot. Replaces any
-  /// previous snapshot.
+  /// Capture the whole post-boot testbed state under `key`, at a run
+  /// boundary — right after a scenario's setup + boot. Replaces any
+  /// previous snapshot, reusing its storage.
   void capture_snapshot(const std::string& key);
 
   /// True iff a snapshot captured under exactly `key` is held.
@@ -135,21 +121,23 @@ class Testbed {
     return snapshot_valid_ && snapshot_.key == key;
   }
 
-  /// Rewind the testbed to the held snapshot by bulk copy: run arena back
-  /// to the snapshot mark, then board/hypervisor/machine/guest state
-  /// restored in place. Returns false (and does nothing) when no snapshot
-  /// is held. Heap-allocation-free on the steady executor path (pinned by
-  /// the pool's zero-allocation test).
+  /// Rewind the testbed to the held snapshot by bulk copy: board,
+  /// hypervisor, machine and guest state restored in place. Returns false
+  /// (and does nothing) when no snapshot is held. Heap-allocation-free on
+  /// the steady executor path (pinned by the pool's zero-allocation test).
   bool restore_snapshot();
 
   /// Direct restore from a caller-held snapshot captured on *this*
-  /// testbed (the layer contracts restore in place; snapshots are not
-  /// portable across instances).
+  /// testbed, even before a reset() or a later capture, once the same
+  /// scenario has been set up and booted again: the machine's guest
+  /// bindings point at this testbed's guest images, and guest task
+  /// identity (names, step closures) lives outside the snapshot. So
+  /// snapshots are not portable across instances.
   void restore(const TestbedSnapshot& snapshot);
 
   [[nodiscard]] const TestbedSnapshot& snapshot() const noexcept { return snapshot_; }
   [[nodiscard]] std::size_t snapshot_bytes() const noexcept {
-    return snapshot_valid_ ? snapshot_.bytes : 0;
+    return snapshot_valid_ ? snapshot_.board.dram.bytes() : 0;
   }
 
   /// Enable the hypervisor with the root cell and bind the Linux image.
@@ -295,17 +283,13 @@ class Testbed {
   guest::FreeRtosImage freertos_;
   guest::OsekImage osek_;
   TestbedState state_;
-  /// Per-run analysis scratch; 4 KiB covers the golden-profile buffers.
-  /// Snapshot page payloads are placed at the base and survive rewinds.
-  util::Arena run_arena_{4 * 1024};
   /// Captured at construction (after every member above), restored by
   /// reset().
   TestbedSnapshot power_on_;
   TestbedSnapshot snapshot_;
   bool snapshot_valid_ = false;
 
-  /// Fill `out` with the current state; the caller owns the arena and
-  /// the key.
+  /// Fill `out` with the current state; the caller owns the key.
   void capture_to(TestbedSnapshot& out);
 };
 

@@ -16,8 +16,8 @@
 // Slots are keyed by (board_name, tuning text, extra key); the executor
 // passes the scenario as the extra key, so a parked slot's held
 // post-boot snapshot matches the next campaign that checks it out, and
-// its arena stays warm for one shape of campaign instead of ping-ponging
-// page working sets between differently tuned cells.
+// its resident DRAM pages stay warm for one shape of campaign instead of
+// ping-ponging page working sets between differently tuned cells.
 //
 // Memory: idle slots are capped at kMaxIdlePerKey per key (releases
 // beyond the cap destroy the testbed instead of parking it), so a key's

@@ -13,15 +13,19 @@ util::Status out_of_range(PhysAddr addr) noexcept {
 
 }  // namespace
 
-std::uint8_t* PhysicalMemory::touch_page(PhysAddr addr) {
-  const std::uint64_t index = (addr - base_) / kPageSize;
+std::uint8_t* PhysicalMemory::resident_page(std::uint64_t index) {
   std::uint8_t* page = table_[index];
   if (page == nullptr) {
-    page = arena_.allocate_array<std::uint8_t>(kPageSize);
-    std::memset(page, 0, kPageSize);
+    // make_unique<T[]> value-initialises: a new page reads as zeroes.
+    page = resident_.emplace_back(std::make_unique<std::uint8_t[]>(kPageSize)).get();
     table_[index] = page;
-    ++resident_;
   }
+  return page;
+}
+
+std::uint8_t* PhysicalMemory::touch_page(PhysAddr addr) {
+  const std::uint64_t index = (addr - base_) / kPageSize;
+  std::uint8_t* page = resident_page(index);
   // Every caller is a write path, so touching *is* dirtying. Marking on
   // the transition only keeps the dirty list duplicate-free.
   if (dirty_flags_[index] == 0) {
@@ -31,43 +35,37 @@ std::uint8_t* PhysicalMemory::touch_page(PhysAddr addr) {
   return page;
 }
 
-void PhysicalMemory::snapshot_to(Snapshot& out, util::Arena& arena) const {
-  out.pages.clear();
-  out.pages.reserve(dirty_list_.size());
-  for (const std::uint64_t index : dirty_list_) {
-    auto* copy = arena.allocate_array<std::uint8_t>(kPageSize);
-    std::memcpy(copy, table_[index], kPageSize);
-    out.pages.push_back({index, copy});
+void PhysicalMemory::snapshot_to(Snapshot& out) const {
+  out.pages.assign(dirty_list_.begin(), dirty_list_.end());
+  std::sort(out.pages.begin(), out.pages.end());
+  out.data.resize(out.pages.size() * kPageSize);
+  std::uint8_t* dst = out.data.data();
+  for (const std::uint64_t index : out.pages) {
+    std::memcpy(dst, table_[index], kPageSize);
+    dst += kPageSize;
   }
-  std::sort(out.pages.begin(), out.pages.end(),
-            [](const Snapshot::Page& a, const Snapshot::Page& b) {
-              return a.index < b.index;
-            });
 }
 
-void PhysicalMemory::restore_from(const Snapshot& snapshot) noexcept {
-  // The current dirty list is a superset of the snapshot's page set
-  // (flags are cleared only here and by clear()), so one pass over
-  // it reaches every page whose contents can differ from the capture.
-  const auto begin = snapshot.pages.begin();
-  const auto end = snapshot.pages.end();
+void PhysicalMemory::restore_from(const Snapshot& snapshot) {
+  // Every page whose contents can differ from the capture is either dirty
+  // now or one of the snapshot's own. Dirty pages the snapshot does not
+  // hold go back to zero and clean.
   for (const std::uint64_t index : dirty_list_) {
-    std::uint8_t* page = table_[index];
-    const auto it = std::lower_bound(
-        begin, end, index, [](const Snapshot::Page& p, std::uint64_t want) {
-          return p.index < want;
-        });
-    if (it != end && it->index == index) {
-      std::memcpy(page, it->data, kPageSize);
-    } else {
-      std::memset(page, 0, kPageSize);
+    if (!std::binary_search(snapshot.pages.begin(), snapshot.pages.end(), index)) {
+      std::memset(table_[index], 0, kPageSize);
       dirty_flags_[index] = 0;
     }
   }
-  // The dirty set is now exactly the snapshot's (those flags stayed set).
+  // The snapshot's pages get their captured bytes, and the dirty set
+  // becomes exactly theirs. A page the memory no longer holds dirty (the
+  // snapshot outlived a power-on restore) is re-materialised here.
   dirty_list_.clear();
-  for (const Snapshot::Page& page : snapshot.pages) {
-    dirty_list_.push_back(page.index);
+  const std::uint8_t* src = snapshot.data.data();
+  for (const std::uint64_t index : snapshot.pages) {
+    std::memcpy(resident_page(index), src, kPageSize);
+    src += kPageSize;
+    dirty_flags_[index] = 1;
+    dirty_list_.push_back(index);
   }
 }
 

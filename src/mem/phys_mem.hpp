@@ -1,12 +1,11 @@
 // Sparse physical memory model for the Banana Pi's 1 GB of DRAM.
 //
 // Backed by 4 KiB pages allocated on first touch so a full-board model
-// costs only what the workload actually dirties. Page storage comes from
-// a util::Arena owned by the memory itself: materialising a page is a
-// pointer bump, and restoring an empty snapshot (the power-on image)
-// returns every resident page to zeroes *in place* — no frees, no
-// allocations — which is what lets a pooled testbed reuse its board RAM
-// windows run after run.
+// costs only what the workload actually dirties. A page, once resident,
+// stays resident for the memory's lifetime: restoring an empty snapshot
+// (the power-on image) returns every dirty page to zeroes *in place* —
+// no frees, no allocations — which is what lets a pooled testbed reuse
+// its board RAM windows run after run.
 //
 // Page lookup is a *flat pointer table* indexed by page number (2 MiB of
 // pointers for the 1 GiB window) instead of a hash map: the per-access
@@ -25,13 +24,12 @@
 // here.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
-#include "util/arena.hpp"
 #include "util/status.hpp"
 
 namespace mcs::mem {
@@ -134,7 +132,7 @@ class PhysicalMemory {
   util::Status fill(PhysAddr addr, std::uint64_t len, std::uint8_t value);
 
   /// Number of 4 KiB pages materialised so far.
-  [[nodiscard]] std::size_t resident_pages() const noexcept { return resident_; }
+  [[nodiscard]] std::size_t resident_pages() const noexcept { return resident_.size(); }
 
   /// Pages written since the last restore_from() — the set the next
   /// restore has to rewrite or zero (and a snapshot has to copy). Always
@@ -150,58 +148,40 @@ class PhysicalMemory {
   /// page-crossing, first-touch writes, block transfers, faults).
   [[nodiscard]] std::uint64_t slow_ops() const noexcept { return slow_ops_; }
 
-  /// Drop all contents and page residency (cold reset: the next touch
-  /// re-materialises from the rewound arena).
-  void clear() noexcept {
-    std::fill(table_.begin(), table_.end(), nullptr);
-    std::fill(dirty_flags_.begin(), dirty_flags_.end(), std::uint8_t{0});
-    dirty_list_.clear();
-    resident_ = 0;
-    arena_.reset();
-  }
-
-  /// Copy-on-capture image of the dirty page set. Page payloads live in
-  /// the arena handed to snapshot_to(); the snapshot is valid until that
-  /// arena rewinds past them.
+  /// Copy-on-capture image of the dirty page set. A plain value: it owns
+  /// its bytes, so a copy stays valid however the memory changes later.
   struct Snapshot {
-    struct Page {
-      std::uint64_t index = 0;       ///< page number within the DRAM window
-      const std::uint8_t* data = nullptr;  ///< kPageSize bytes, arena-owned
-
-      /// Same page number and byte-identical payload.
-      bool operator==(const Page& other) const noexcept {
-        return index == other.index &&
-               std::memcmp(data, other.data, kPageSize) == 0;
-      }
-    };
-    std::vector<Page> pages;  ///< sorted by index (binary-search restore)
-    [[nodiscard]] std::size_t bytes() const noexcept {
-      return pages.size() * kPageSize;
-    }
+    std::vector<std::uint64_t> pages;  ///< page numbers, sorted (binary-search restore)
+    std::vector<std::uint8_t> data;    ///< kPageSize bytes per page, in `pages` order
+    [[nodiscard]] std::size_t bytes() const noexcept { return data.size(); }
 
     bool operator==(const Snapshot&) const = default;
   };
 
-  /// Capture every dirty page into `arena`-owned storage. The capture is
-  /// exact: restore_from() reproduces the memory contents bit for bit.
-  void snapshot_to(Snapshot& out, util::Arena& arena) const;
+  /// Capture every dirty page into `out`, reusing its capacity. The
+  /// capture is exact: restore_from() reproduces the memory contents bit
+  /// for bit.
+  void snapshot_to(Snapshot& out) const;
 
-  /// Restore the captured contents in place. Touches only pages that are
-  /// currently dirty (a superset of the snapshot's page set — dirty flags
-  /// are only ever cleared by restore itself), so the cost scales with
+  /// Restore the captured contents in place. Touches only the pages that
+  /// are currently dirty plus the snapshot's own, so the cost scales with
   /// what the run wrote, and the dirty set afterwards equals the
-  /// snapshot's. Zero heap allocations in steady state. An empty snapshot
-  /// is the power-on image: every dirty page is zeroed and stays resident
-  /// (clean resident pages are zero by invariant), so reads are
-  /// indistinguishable from a fresh memory.
-  void restore_from(const Snapshot& snapshot) noexcept;
+  /// snapshot's. Zero heap allocations for a snapshot captured from this
+  /// memory, whose pages stay resident for good; a page the memory never
+  /// held is materialised. An empty snapshot is the power-on image: every
+  /// dirty page is zeroed and stays resident (clean resident pages are
+  /// zero by invariant), so reads are indistinguishable from a fresh
+  /// memory.
+  void restore_from(const Snapshot& snapshot);
 
  private:
-  /// Pages are arena chunks; a resident page is always fully initialised.
+  /// A resident page is always fully initialised.
   [[nodiscard]] const std::uint8_t* find_page(PhysAddr addr) const noexcept {
     return table_[(addr - base_) / kPageSize];
   }
   std::uint8_t* touch_page(PhysAddr addr);
+  /// Table entry for page `index`, allocating a zeroed page on first touch.
+  std::uint8_t* resident_page(std::uint64_t index);
 
   // Out-of-line slow halves of the word accessors (unaligned, crossing,
   // out-of-range, first touch); all funnel through the block path.
@@ -212,9 +192,8 @@ class PhysicalMemory {
 
   PhysAddr base_ = kDramBase;
   std::uint64_t size_ = kDramSize;
-  /// 64 pages per block: a booted testbed dirties a few dozen pages, so
-  /// the whole working set fits in one or two blocks.
-  util::Arena arena_{64 * kPageSize};
+  /// Storage of every resident page, in first-touch order.
+  std::vector<std::unique_ptr<std::uint8_t[]>> resident_;
   /// Page number → page storage (nullptr while not materialised).
   std::vector<std::uint8_t*> table_;
   /// Page number → written-since-last-reset flag (mirrors dirty_list_).
@@ -222,7 +201,6 @@ class PhysicalMemory {
   /// Indexes of pages written since the last reset/restore (unordered;
   /// capacity kept across resets for the zero-allocation steady state).
   std::vector<std::uint64_t> dirty_list_;
-  std::size_t resident_ = 0;
   mutable std::uint64_t fast_ops_ = 0;
   mutable std::uint64_t slow_ops_ = 0;
 };

@@ -47,10 +47,8 @@ Board::Board(BoardSpec spec)
       timer_("timer", kTimerBase, gic_, spec_.num_cpus, clock_),
       gpio_("gpio", kGpioBase) {
   cpus_.reserve(static_cast<std::size_t>(spec_.num_cpus));
-  // CPU blocks live in the board arena: one bump-allocated block instead
-  // of a heap node per core, freed wholesale with the board.
   for (int i = 0; i < spec_.num_cpus; ++i) {
-    cpus_.push_back(arena_.create<arch::Cpu>(i));
+    cpus_.push_back(std::make_unique<arch::Cpu>(i));
   }
   // Window overlaps are a wiring bug, not a runtime condition.
   (void)bus_.attach(uart0_);
@@ -61,12 +59,6 @@ Board::Board(BoardSpec spec)
   // Wire every scheduled device into the deadline cache: a re-arm bumps
   // the generation, so next_device_deadline() re-polls only then.
   for (Device* device : scheduled_) device->bind_deadline_gen(&deadline_gen_);
-}
-
-Board::~Board() {
-  // Arena storage is freed wholesale; the objects inside still need their
-  // destructors (Cpu owns a halt-reason string).
-  for (arch::Cpu* cpu : cpus_) cpu->~Cpu();
 }
 
 util::Ticks Board::next_device_deadline() const {
@@ -119,7 +111,7 @@ void Board::run_ticks(std::uint64_t n) {
   advance_to(clock_.now() + util::Ticks{n});
 }
 
-void Board::snapshot_to(Snapshot& out, util::Arena& page_arena) const {
+void Board::snapshot_to(Snapshot& out) const {
   out.clock_now = clock_.now();
   out.cpus.resize(cpus_.size());
   for (std::size_t i = 0; i < cpus_.size(); ++i) cpus_[i]->snapshot_to(out.cpus[i]);
@@ -128,7 +120,7 @@ void Board::snapshot_to(Snapshot& out, util::Arena& page_arena) const {
   uart1_.snapshot_to(out.uart1);
   timer_.snapshot_to(out.timer);
   gpio_.snapshot_to(out.gpio);
-  dram_.snapshot_to(out.dram, page_arena);
+  dram_.snapshot_to(out.dram);
   out.log_records = log_.size();
 }
 

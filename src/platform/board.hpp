@@ -25,7 +25,6 @@
 #include "platform/gpio.hpp"
 #include "platform/timer.hpp"
 #include "platform/uart.hpp"
-#include "util/arena.hpp"
 #include "util/clock.hpp"
 #include "util/log.hpp"
 
@@ -43,12 +42,11 @@ inline constexpr irq::IrqId kUart1Irq = 34;
 
 /// The composed board. Owns every hardware model; higher layers hold
 /// references. Copying a board is meaningless — moved/copied never.
-/// CPU storage is sized from the spec at construction and placed in the
-/// board's arena (one block, no per-CPU heap nodes).
+/// The CPU set is sized from the spec at construction.
 class Board {
  public:
   explicit Board(BoardSpec spec);
-  virtual ~Board();
+  virtual ~Board() = default;
 
   Board(const Board&) = delete;
   Board& operator=(const Board&) = delete;
@@ -106,13 +104,12 @@ class Board {
 
   // --- snapshot / restore ------------------------------------------------
   /// Everything a run mutates below the hypervisor: clock, CPUs, devices,
-  /// irqchip, DRAM (dirty pages only) and the log length. Page payloads
-  /// are copied into `page_arena` (the testbed's run arena), everything
-  /// else lives inline in the struct. A snapshot taken right after
-  /// construction is the board's power-on image: restoring it rewinds the
-  /// clock to tick 0, zeroes the dirty DRAM pages in place and truncates
-  /// the serial captures and event log, while every backing allocation
-  /// (CPU arena block, DRAM pages, capture/log capacity) stays resident.
+  /// irqchip, DRAM (dirty pages only) and the log length, all held by
+  /// value. A snapshot taken right after construction is the board's
+  /// power-on image: restoring it rewinds the clock to tick 0, zeroes the
+  /// dirty DRAM pages in place and truncates the serial captures and
+  /// event log, while every backing allocation (CPUs, DRAM pages,
+  /// capture/log capacity) stays resident.
   struct Snapshot {
     util::Ticks clock_now{};
     std::vector<arch::Cpu::Snapshot> cpus;
@@ -127,7 +124,7 @@ class Board {
     bool operator==(const Snapshot&) const = default;
   };
 
-  void snapshot_to(Snapshot& out, util::Arena& page_arena) const;
+  void snapshot_to(Snapshot& out) const;
   void restore_from(const Snapshot& snapshot);
 
  private:
@@ -135,9 +132,6 @@ class Board {
   void service_due_devices(util::Ticks now);
 
   BoardSpec spec_;
-  /// Construction-scoped storage (CPU blocks); never rewound — the board
-  /// keeps its hardware for life, restore_from() only restores state.
-  util::Arena arena_{4 * 1024};
   util::SimClock clock_;
   util::EventLog log_;
   mem::PhysicalMemory dram_;
@@ -147,7 +141,7 @@ class Board {
   Uart uart1_;
   PeriodicTimer timer_;
   Gpio gpio_;
-  std::vector<arch::Cpu*> cpus_;  ///< arena-placed; destroyed by ~Board
+  std::vector<std::unique_ptr<arch::Cpu>> cpus_;
   /// The deadline queue: every ticking device, in legacy tick order.
   std::array<Device*, 4> scheduled_{};
   /// Bumped by devices on every re-arm (they hold a pointer to it);

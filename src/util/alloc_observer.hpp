@@ -3,7 +3,7 @@
 // The testbed-reuse contract is "zero board/testbed heap allocations in
 // steady state": after warm-up, checking a pooled testbed out and
 // resetting it to power-on must not touch the general-purpose heap at
-// all (arena rewinds, container clear()s that keep capacity, plain
+// all (in-place rewrites, container clear()s that keep capacity, plain
 // deallocations are all fine — new allocations are not). Asserting that
 // needs an observable the allocator itself provides; this header's
 // companion .cpp replaces the global operator new/delete with counting

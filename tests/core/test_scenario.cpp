@@ -245,6 +245,10 @@ class BrokenSetupScenario final : public Scenario {
 
 TEST(Scenario, SetupFailureIsAHarnessErrorNotASilentHang) {
   ScenarioRegistry::instance().add(std::make_unique<BrokenSetupScenario>());
+  // Unregister on every exit path: later tests iterate the registry.
+  struct Unregister {
+    ~Unregister() { ScenarioRegistry::instance().remove("test-broken-setup"); }
+  } unregister;
   TestPlan plan = paper_medium_trap_plan();
   plan.scenario = "test-broken-setup";
   plan.runs = 2;

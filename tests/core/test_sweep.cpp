@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -75,6 +76,18 @@ TEST(SweepSpec, RejectsMalformedInput) {
                    .is_ok());
   EXPECT_TRUE(
       parse_sweep_spec("scenario freertos-steady\nrate 4294967295\n").is_ok());
+  // duration shares that bound: the window closes at now + duration, so
+  // 2^64-1 would wrap to an already-closed window and a value just below
+  // it would never close.
+  EXPECT_FALSE(parse_sweep_spec("scenario freertos-steady\nrate 100\n"
+                                "duration 0xffffffffffffffff\n")
+                   .is_ok());
+  EXPECT_FALSE(parse_sweep_spec("scenario freertos-steady\nrate 100\n"
+                                "duration 0xfffffffffffff000\n")
+                   .is_ok());
+  EXPECT_TRUE(parse_sweep_spec("scenario freertos-steady\nrate 100\n"
+                               "duration 4294967295\n")
+                  .is_ok());
 }
 
 // --- grid expansion ---------------------------------------------------------
@@ -148,6 +161,21 @@ TEST(SweepDriver, ExpandRejectsDuplicateAxisValues) {
   spec = small_spec();
   spec.boards = {"bananapi", "bananapi"};
   EXPECT_FALSE(SweepDriver(spec).expand().is_ok());
+}
+
+TEST(SweepDriver, ExpandRejectsADurationBeyond32Bits) {
+  // A spec built in code (or from --duration) gets the same bound as a
+  // spec file, with a diagnostic that names the field.
+  SweepSpec spec = small_spec();
+  spec.duration_ticks = UINT64_MAX;
+  const auto expanded = SweepDriver(spec).expand();
+  ASSERT_FALSE(expanded.is_ok());
+  EXPECT_NE(expanded.status().message().find("duration"), std::string::npos);
+
+  spec.duration_ticks = std::uint64_t{UINT32_MAX} + 1;
+  EXPECT_FALSE(SweepDriver(spec).expand().is_ok());
+  spec.duration_ticks = UINT32_MAX;
+  EXPECT_TRUE(SweepDriver(spec).expand().is_ok());
 }
 
 TEST(SweepDriver, RejectsUnknownScenarioAndBoardKeys) {

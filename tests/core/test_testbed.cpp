@@ -225,7 +225,6 @@ TEST(TestbedReset, ResetImageMatchesFreshImageForEveryScenario) {
   // each model's state block and its defaulted operator==.
   for (const std::string board : {"bananapi", "quad-a7"}) {
     for (const std::string& name : ScenarioRegistry::instance().names()) {
-      if (name.rfind("test-", 0) == 0) continue;  // suite-local fixtures
       const Scenario* scenario = find_scenario(name);
       TestPlan plan = scenario->make_plan();
       plan.duration_ticks = 2'000;
@@ -263,13 +262,45 @@ TEST(TestbedReset, ResetImageMatchesFreshImageForEveryScenario) {
   }
 }
 
-TEST(TestbedReset, RunArenaIsRunScoped) {
-  Testbed testbed;
-  auto* scratch = testbed.run_arena().allocate_array<std::uint64_t>(8);
-  scratch[0] = 42;
-  EXPECT_GT(testbed.run_arena().bytes_in_use(), 0u);
+/// FNV-1a over the live DRAM words of every page `snapshot` holds, read
+/// through the board's memory rather than the snapshot's own bytes.
+std::uint64_t dram_hash(Testbed& testbed, const TestbedSnapshot& snapshot) {
+  mem::PhysicalMemory& dram = testbed.board().dram();
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const std::uint64_t page : snapshot.board.dram.pages) {
+    const mem::PhysAddr base = dram.base() + page * mem::kPageSize;
+    for (std::uint64_t offset = 0; offset < mem::kPageSize; offset += 8) {
+      hash = (hash ^ dram.read_u64(base + offset).value()) * 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+TEST(TestbedSnapshot, HeldCopySurvivesResetAndRecapture) {
+  // A snapshot is a plain value: a caller-held copy must restore exactly
+  // the memory it captured, even after the testbed has been reset,
+  // re-booted and has captured a newer snapshot of its own.
+  const Scenario* scenario = find_scenario("freertos-steady");
+  ASSERT_NE(scenario, nullptr);
+  Testbed testbed(platform::make_board("bananapi"));
+  ASSERT_TRUE(scenario->setup(testbed).is_ok());
+  scenario->boot(testbed);
+  testbed.run(3'000);
+  testbed.capture_snapshot("early");
+  const TestbedSnapshot held = testbed.snapshot();
+  ASSERT_GT(held.board.dram.bytes(), 0u);
+  const std::uint64_t captured = dram_hash(testbed, held);
+
   testbed.reset();
-  EXPECT_EQ(testbed.run_arena().bytes_in_use(), 0u);
+  ASSERT_TRUE(scenario->setup(testbed).is_ok());
+  scenario->boot(testbed);
+  testbed.run(9'000);
+  testbed.capture_snapshot("late");
+  ASSERT_NE(dram_hash(testbed, held), captured) << "the later run must diverge";
+
+  testbed.restore(held);
+  EXPECT_EQ(dram_hash(testbed, held), captured);
+  EXPECT_EQ(testbed.board().now(), held.board.clock_now);
 }
 
 }  // namespace

@@ -98,7 +98,7 @@ int for_each_scenario_and_board(Body body) {
 
 // The reuse contract's perf half: after warm-up, returning a pooled
 // testbed to power-on state is pure state restoration — zero heap
-// allocations (arena rewinds and capacity-keeping clears only).
+// allocations (in-place rewrites and capacity-keeping clears only).
 TEST(TestbedPool, SteadyStateResetPerformsZeroHeapAllocations) {
   const int combinations = for_each_scenario_and_board(
       [](Testbed& testbed, const Scenario& scenario, const std::string& label) {
@@ -123,8 +123,8 @@ TEST(TestbedPool, SteadyStateResetPerformsZeroHeapAllocations) {
 // The snapshot contract's perf half: once a slot has captured its
 // post-boot snapshot and served one warm run, restoring for the next
 // run is pure bulk copy — zero heap allocations on the capture→restore
-// path (dirty pages rewrite in place, the run arena rewinds to the
-// snapshot mark, state blocks reuse their containers' capacity).
+// path (dirty pages rewrite in place, state blocks reuse their
+// containers' capacity).
 TEST(TestbedPool, SnapshotRestorePerformsZeroHeapAllocations) {
   const int combinations = for_each_scenario_and_board(
       [](Testbed& testbed, const Scenario& scenario, const std::string& label) {

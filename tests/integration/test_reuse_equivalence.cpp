@@ -42,7 +42,6 @@ TEST(ReuseEquivalence, PooledMatchesFreshOnEveryScenarioBoardAndThreadCount) {
   // oracle: one fresh testbed per run, so one baseline per (scenario,
   // board) suffices.
   for (const std::string& scenario : ScenarioRegistry::instance().names()) {
-    if (scenario.rfind("test-", 0) == 0) continue;  // suite-local fixtures
     for (const std::string& board : {std::string("bananapi"), std::string("quad-a7")}) {
       const TestPlan plan = reuse_plan(scenario, board);
       const CampaignCapture fresh = oracle_campaign(plan);

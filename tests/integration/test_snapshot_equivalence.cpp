@@ -45,7 +45,6 @@ TEST(SnapshotEquivalence, RestoredMatchesFreshOnEveryScenarioBoardAndThreadCount
   // oracle: one fresh testbed per run, so one baseline per (scenario,
   // board) suffices.
   for (const std::string& scenario : ScenarioRegistry::instance().names()) {
-    if (scenario.rfind("test-", 0) == 0) continue;  // suite-local fixtures
     for (const std::string& board : {std::string("bananapi"), std::string("quad-a7")}) {
       const TestPlan plan = snapshot_plan(scenario, board);
       const CampaignCapture fresh = oracle_campaign(plan);
@@ -83,7 +82,9 @@ TEST(SnapshotEquivalence, SteadyScenariosActuallyRestore) {
   // The identity above is vacuous if every run silently falls back to
   // reset + boot: require the pool to report restores, and more restores
   // than full resets for a steady single-slot campaign (boot once,
-  // restore plan.runs - 1 times).
+  // restore plan.runs - 1 times). Start from an empty pool: a warm slot
+  // parked by an earlier test would already hold the snapshot.
+  TestbedPool::instance().clear();
   const TestbedPool::Stats before = TestbedPool::instance().stats();
   TestPlan plan = snapshot_plan("freertos-steady", "bananapi");
   plan.runs = 6;

@@ -30,7 +30,6 @@ TestPlan equivalence_plan(const std::string& scenario) {
 
 TEST(TickEquivalence, EventDrivenMatchesPerTickOnEveryScenario) {
   for (const std::string& name : ScenarioRegistry::instance().names()) {
-    if (name.rfind("test-", 0) == 0) continue;  // suite-local fixtures
     const TestPlan plan = equivalence_plan(name);
     oracle::expect_identical(oracle::per_tick_campaign(plan),
                              oracle::executor_campaign(plan, 1),

@@ -22,7 +22,6 @@
 #include "mem/address_space.hpp"
 #include "mem/memory_map.hpp"
 #include "mem/phys_mem.hpp"
-#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace mcs::mem {
@@ -135,7 +134,6 @@ TEST(FastPathDifferential, PhysicalMemoryMatchesByteReference) {
   ReferenceMemory ref(kWinBase, kWinSize);
   util::Xoshiro256 rng(0xD1FF'0001);
 
-  util::Arena snap_arena(kWinSize);
   PhysicalMemory::Snapshot snapshot;
   ReferenceMemory::Capture ref_capture;
   bool captured = false;
@@ -260,7 +258,7 @@ TEST(FastPathDifferential, PhysicalMemoryMatchesByteReference) {
     // restore later, power-on reset later still — the reference tracks
     // the same contract (contents + dirty set; residency monotonic).
     if (op == 7'000) {
-      dut.snapshot_to(snapshot, snap_arena);
+      dut.snapshot_to(snapshot);
       ref_capture = ref.capture();
       captured = true;
     }

@@ -80,9 +80,10 @@ TEST(PhysicalMemory, FillAndClear) {
   EXPECT_EQ(dram.read_u8(kDramBase + 10).value(), 0x5A);
   EXPECT_EQ(dram.read_u8(kDramBase + 10 + 3 * kPageSize - 1).value(), 0x5A);
   EXPECT_EQ(dram.read_u8(kDramBase + 9).value(), 0u);
-  dram.clear();
+  dram.restore_from(PhysicalMemory::Snapshot{});  // the power-on image
   EXPECT_EQ(dram.read_u8(kDramBase + 10).value(), 0u);
-  EXPECT_EQ(dram.resident_pages(), 0u);
+  EXPECT_EQ(dram.read_u8(kDramBase + 10 + 3 * kPageSize - 1).value(), 0u);
+  EXPECT_EQ(dram.dirty_pages(), 0u);
 }
 
 TEST(PhysicalMemory, ReadBlockFromHoleYieldsZeros) {
@@ -123,11 +124,10 @@ TEST(PhysicalMemory, ResetContentsClearsDirtySetButKeepsResidency) {
 
 TEST(PhysicalMemory, SnapshotRoundTripIsBitExact) {
   PhysicalMemory dram;
-  util::Arena arena(64 * kPageSize);
   (void)dram.write_u32(kDramBase + 0x40, 0xDEADBEEF);
   (void)dram.write_u64(kDramBase + 7 * kPageSize + 8, 0x0123456789ABCDEFull);
   PhysicalMemory::Snapshot snapshot;
-  dram.snapshot_to(snapshot, arena);
+  dram.snapshot_to(snapshot);
   EXPECT_EQ(snapshot.pages.size(), 2u);
   EXPECT_EQ(snapshot.bytes(), 2 * kPageSize);
 
@@ -150,10 +150,9 @@ TEST(PhysicalMemory, RestoreIsRepeatable) {
   // Run → restore → run → restore must keep reproducing the capture: the
   // executor restores the same snapshot for every run of a slot.
   PhysicalMemory dram;
-  util::Arena arena(64 * kPageSize);
   (void)dram.write_u32(kDramBase, 0xA5A5A5A5);
   PhysicalMemory::Snapshot snapshot;
-  dram.snapshot_to(snapshot, arena);
+  dram.snapshot_to(snapshot);
   for (int round = 0; round < 3; ++round) {
     (void)dram.write_u32(kDramBase, 0x11111111u * static_cast<unsigned>(round));
     (void)dram.write_u8(kDramBase + (5 + static_cast<std::uint64_t>(round)) * kPageSize, 1);
@@ -165,14 +164,41 @@ TEST(PhysicalMemory, RestoreIsRepeatable) {
 
 TEST(PhysicalMemory, EmptySnapshotRestoresToAllZero) {
   PhysicalMemory dram;
-  util::Arena arena(16 * kPageSize);
   PhysicalMemory::Snapshot snapshot;
-  dram.snapshot_to(snapshot, arena);  // nothing dirty: empty capture
+  dram.snapshot_to(snapshot);  // nothing dirty: empty capture
   EXPECT_EQ(snapshot.pages.size(), 0u);
   (void)dram.write_u32(kDramBase + kPageSize, 0xBADF00D);
   dram.restore_from(snapshot);
   EXPECT_EQ(dram.read_u32(kDramBase + kPageSize).value(), 0u);
   EXPECT_EQ(dram.dirty_pages(), 0u);
+}
+
+TEST(PhysicalMemory, SnapshotIsAValueThatOutlivesPowerOnRestore) {
+  // A snapshot owns its bytes: a copy restores exactly, even into a memory
+  // that has since been returned to power-on (its pages clean) or that
+  // never held them at all.
+  PhysicalMemory dram;
+  (void)dram.write_u32(kDramBase + 3 * kPageSize, 0x600DF00D);
+  PhysicalMemory::Snapshot captured;
+  dram.snapshot_to(captured);
+  const PhysicalMemory::Snapshot held = captured;
+  (void)dram.write_u32(kDramBase + 3 * kPageSize, 0xDEAD);
+  dram.snapshot_to(captured);  // recapture reuses the original's storage
+  ASSERT_NE(held, captured);
+
+  dram.restore_from(PhysicalMemory::Snapshot{});
+  ASSERT_EQ(dram.dirty_pages(), 0u);
+  dram.restore_from(held);
+  EXPECT_EQ(dram.read_u32(kDramBase + 3 * kPageSize).value(), 0x600DF00Du);
+  EXPECT_EQ(dram.dirty_pages(), 1u);
+
+  PhysicalMemory other;
+  other.restore_from(held);
+  EXPECT_EQ(other.read_u32(kDramBase + 3 * kPageSize).value(), 0x600DF00Du);
+  EXPECT_EQ(other.resident_pages(), 1u);
+  PhysicalMemory::Snapshot recaptured;
+  other.snapshot_to(recaptured);
+  EXPECT_EQ(recaptured, held);
 }
 
 }  // namespace

@@ -5,18 +5,15 @@
 #include <algorithm>
 
 #include "platform/board_registry.hpp"
-#include "util/arena.hpp"
 
 namespace mcs::platform {
 namespace {
 
 /// A snapshot taken right after construction: restoring it is the board's
-/// power-on reset. A fresh board has no dirty DRAM, so no page payload
-/// outlives the throwaway arena.
+/// power-on reset. A fresh board has no dirty DRAM, so it holds no pages.
 Board::Snapshot power_on_image(const Board& board) {
-  util::Arena no_pages;
   Board::Snapshot image;
-  board.snapshot_to(image, no_pages);
+  board.snapshot_to(image);
   return image;
 }
 
@@ -184,7 +181,7 @@ TEST(Board, ResetZeroesDramInPlaceWithoutFreeingPages) {
   ASSERT_GT(resident, 0u);
   board.restore_from(power_on);
   // Contents are power-on zeroes, but the pages stay resident (reuse
-  // keeps the arena warm — no frees, no future allocations).
+  // keeps them warm — no frees, no future allocations).
   EXPECT_EQ(board.dram().read_u32(mem::kDramBase + 0x1000).value(), 0u);
   EXPECT_EQ(board.dram().resident_pages(), resident);
 }
@@ -251,9 +248,8 @@ TEST(Board, DeadlineCacheSurvivesResetAndRestore) {
   EXPECT_EQ(board.next_device_deadline(), kNoDeadline);
 
   board.timer().start(1, 30);
-  util::Arena arena(1 << 20);
   Board::Snapshot snapshot;
-  board.snapshot_to(snapshot, arena);
+  board.snapshot_to(snapshot);
   board.run_ticks(30);  // fire + re-arm: deadline now 60
   EXPECT_EQ(board.next_device_deadline().value, 60u);
 
@@ -305,7 +301,6 @@ TEST(Board, AdvanceToMatchesPerTickPolling) {
 
 TEST(Board, SnapshotRoundTripRestoresClockDevicesAndDram) {
   BananaPiBoard board;
-  util::Arena page_arena(64 * mem::kPageSize);
   board.timer().start(0, 10);
   board.gpio().set_line(kGreenLedLine, true);
   ASSERT_TRUE(board.dram().write_u32(mem::kDramBase + 0x100, 0xCAFEF00D).is_ok());
@@ -313,7 +308,7 @@ TEST(Board, SnapshotRoundTripRestoresClockDevicesAndDram) {
   board.run_ticks(25);  // 2 timer fires, pending PPI state, clock at 25
 
   Board::Snapshot snapshot;
-  board.snapshot_to(snapshot, page_arena);
+  board.snapshot_to(snapshot);
   const std::uint64_t fires_at_capture = board.timer().fires(0);
   const std::size_t log_at_capture = board.log().size();
 
@@ -341,11 +336,10 @@ TEST(Board, SnapshotRoundTripRestoresClockDevicesAndDram) {
 
 TEST(Board, UartSnapshotTruncatesCaptureToTheMark) {
   BananaPiBoard board;
-  util::Arena page_arena(16 * mem::kPageSize);
   ASSERT_TRUE(board.uart0().mmio_write(kUartThr, 'a').is_ok());
   ASSERT_TRUE(board.uart0().mmio_write(kUartThr, 'b').is_ok());
   Board::Snapshot snapshot;
-  board.snapshot_to(snapshot, page_arena);
+  board.snapshot_to(snapshot);
   ASSERT_TRUE(board.uart0().mmio_write(kUartThr, 'c').is_ok());
   ASSERT_EQ(board.uart0().captured(), "abc");
   board.restore_from(snapshot);
