@@ -85,6 +85,7 @@ int scan_log(const std::string& path, mcs::analysis::RunLogScan& scan) {
   scan = mcs::analysis::scan_run_log(log.view);
   if (scan.entries == 0) {
     std::cerr << "logreplay: no run lines found in '" << path << "' ("
+              << scan.malformed_lines << " malformed run lines, "
               << scan.skipped_lines
               << " non-run lines skipped) — is this a campaign log "
                  "(fault_campaign stdout)?\n";

@@ -1,5 +1,7 @@
 #include "core/testbed.hpp"
 
+#include <cassert>
+
 #include "hypervisor/cell_config.hpp"
 #include "hypervisor/ivshmem.hpp"
 
@@ -12,6 +14,11 @@ Testbed::Testbed(std::unique_ptr<platform::Board> board)
                               : std::make_unique<platform::BananaPiBoard>()),
       hv_(*board_),
       machine_(*board_, hv_) {
+  // Fixed registration order: every testbed numbers its images alike,
+  // so the machine's bindings in any snapshot resolve on any testbed.
+  machine_.register_guest(linux_);
+  machine_.register_guest(freertos_);
+  machine_.register_guest(osek_);
   // Nothing has touched DRAM yet, so the image holds no pages.
   capture_to(power_on_);
 }
@@ -44,6 +51,7 @@ bool Testbed::restore_snapshot() {
 }
 
 void Testbed::restore(const TestbedSnapshot& snapshot) {
+  assert(snapshot.board.cpus.size() == static_cast<std::size_t>(board_->num_cpus()));
   board_->restore_from(snapshot.board);
   hv_.restore_from(snapshot.hv);
   machine_.restore_from(snapshot.machine);

@@ -71,10 +71,11 @@ struct TestbedState {
 /// post-boot image, captured after a slot's first boot for a given
 /// (board, tuning, scenario) identity key and restored by
 /// Testbed::restore_snapshot() instead of reset() + re-boot. A plain
-/// value: the DRAM pages are owned by `board.dram`, so a copy stays valid
-/// across any number of runs, resets and recaptures (see
-/// Testbed::restore() for where it may be restored). The power-on image
-/// holds no pages; restoring it zeroes the dirty DRAM set.
+/// value with no pointers (it owns its DRAM pages; guest bindings and
+/// task identity are numbers), so a copy stays valid across any number
+/// of runs, resets and recaptures, and any testbed on the same board
+/// variant restores it. The power-on image holds no pages; restoring it
+/// zeroes the dirty DRAM set.
 struct TestbedSnapshot {
   platform::Board::Snapshot board;
   jh::Hypervisor::Snapshot hv;
@@ -127,12 +128,11 @@ class Testbed {
   /// the steady executor path (pinned by the pool's zero-allocation test).
   bool restore_snapshot();
 
-  /// Direct restore from a caller-held snapshot captured on *this*
-  /// testbed, even before a reset() or a later capture, once the same
-  /// scenario has been set up and booted again: the machine's guest
-  /// bindings point at this testbed's guest images, and guest task
-  /// identity (names, step closures) lives outside the snapshot. So
-  /// snapshots are not portable across instances.
+  /// Direct restore from a caller-held snapshot captured on any testbed
+  /// of the same board variant, with no setup or boot needed. Slots of
+  /// images a caller bound (e.g. a decorator) resolve only on the testbed
+  /// that bound them. Debug builds assert that the CPU count matches and
+  /// that every bound slot resolves.
   void restore(const TestbedSnapshot& snapshot);
 
   [[nodiscard]] const TestbedSnapshot& snapshot() const noexcept { return snapshot_; }

@@ -21,6 +21,12 @@ std::uint32_t int_chain_step(std::uint32_t h, std::uint32_t salt) noexcept {
   return h + salt;
 }
 
+/// Step-table entry calling member step `Fn` on the kernel's owner.
+template <void (FreeRtosImage::*Fn)(rtos::TaskContext&)>
+void bound(void* owner, rtos::TaskContext& t) {
+  (static_cast<FreeRtosImage*>(owner)->*Fn)(t);
+}
+
 }  // namespace
 
 std::uint32_t FreeRtosImage::message_checksum(std::uint32_t seq) noexcept {
@@ -50,116 +56,128 @@ void FreeRtosImage::on_start(jh::GuestContext& ctx) {
                    std::to_string(kernel_.task_count()) + " tasks\n");
 }
 
+const rtos::StepFn FreeRtosImage::kSteps[5] = {
+    &bound<&FreeRtosImage::blink_step>, &bound<&FreeRtosImage::tx_step>,
+    &bound<&FreeRtosImage::rx_step>, &bound<&FreeRtosImage::fp_step>,
+    &bound<&FreeRtosImage::int_step>};
+
 void FreeRtosImage::spawn_workload() {
   state_.msg_queue = kernel_.create_queue(8);
 
   // 1) LED blink task — priority 3, 500 ms period (visible heartbeat).
-  kernel_.add_task("blink", 3, [this](rtos::TaskContext& t) {
-    state_.led_on = !state_.led_on;
-    t.guest.set_led(state_.led_on);
-    ++state_.blinks;
-    if (state_.blinks % 4 == 0) {
-      t.guest.console_puts("blink " + std::to_string(state_.blinks) + "\n");
-    }
-    t.kernel.delay(t.self, 500);
-  });
+  kernel_.add_task(3, kBlinkStep);
 
   // 2) Send/receive pair — priority 4, queue-coupled, checksum-validated.
-  kernel_.add_task("tx", 4, [this](rtos::TaskContext& t) {
-    const std::uint32_t item = message_checksum(state_.tx_seq);
-    if (t.kernel.queue_send(t.self, state_.msg_queue, item)) {
-      ++state_.tx_seq;
-      t.kernel.delay(t.self, 20);
-    }
-    // If the queue was full the task is now blocked; retried on wake.
-  });
-  kernel_.add_task("rx", 4, [this](rtos::TaskContext& t) {
-    const auto item = t.kernel.queue_receive(t.self, state_.msg_queue);
-    if (!item.has_value()) return;  // blocked until data arrives
-    if (*item == message_checksum(state_.rx_seq)) {
-      ++state_.rx_validated;
-      if (state_.rx_validated % 25 == 0) {
-        t.guest.console_puts("rx " + std::to_string(state_.rx_validated) + " ok\n");
-      }
-    } else {
-      ++state_.data_errors;
-      t.guest.console_puts("rx CHECKSUM ERROR at seq " +
-                           std::to_string(state_.rx_seq) + "\n");
-    }
-    ++state_.rx_seq;
-  });
+  kernel_.add_task(4, kTxStep);
+  kernel_.add_task(4, kRxStep);
 
   // 3) Two floating-point tasks — priority 2, periodically self-check
   //    against an independent recomputation.
-  for (int fp = 0; fp < 2; ++fp) {
-    kernel_.add_task("fp" + std::to_string(fp), 2,
-                     [this, fp](rtos::TaskContext& t) {
-      const auto index = static_cast<std::size_t>(fp);
-      auto& acc = state_.fp_accumulators[index];
-      auto& shadow = state_.fp_shadows[index];
-      auto& iter = state_.fp_iterations[index];
-      // 32 accumulation steps per lap of a convergent series, applied to
-      // the working accumulator and, in reverse association, to a shadow
-      // copy. State corruption shows up as divergence between the two.
-      double lap = 0.0;
-      for (int i = 31; i >= 0; --i) {
-        const double k = static_cast<double>(iter * 32 + static_cast<std::uint64_t>(i) + 1);
-        lap += (fp == 0 ? 1.0 : -1.0) / (k * k);
-      }
-      for (int i = 0; i < 32; ++i) {
-        const double k = static_cast<double>(iter * 32 + static_cast<std::uint64_t>(i) + 1);
-        acc += (fp == 0 ? 1.0 : -1.0) / (k * k);
-      }
-      shadow += lap;
-      ++iter;
-      if (iter % 50 == 0) {
-        const bool ok = std::abs(shadow - acc) < 1e-9;
-        if (!ok) ++state_.data_errors;
-        t.guest.console_puts("fp" + std::to_string(fp) +
-                             (ok ? " ok " : " BAD ") + std::to_string(iter) + "\n");
-      }
-      t.kernel.delay(t.self, 5 + static_cast<std::uint64_t>(fp) * 2);
-    });
-  }
+  for (std::uint32_t fp = 0; fp < 2; ++fp) kernel_.add_task(2, kFpStep, fp);
 
   // 4) Fifteen integer tasks — priority 1, xorshift hash chains with
   //    staggered periods so their heartbeats interleave. The chain state
   //    lives in guest RAM, stored twice (dual-redundant) and compared on
   //    every lap: a flipped DRAM bit in either copy is caught here.
   for (int n = 0; n < kIntegerTasks; ++n) {
-    kernel_.add_task(
-        (n < 10 ? "int0" : "int") + std::to_string(n), 1,
-        [this, n](rtos::TaskContext& t) {
-          const auto index = static_cast<std::size_t>(n);
-          const std::uint64_t addr = kStateBase + static_cast<std::uint64_t>(n) * 4;
-          const std::uint64_t shadow_addr =
-              kShadowBase + static_cast<std::uint64_t>(n) * 4;
-          auto primary = t.guest.ram_read_u32(addr);
-          auto shadow = t.guest.ram_read_u32(shadow_addr);
-          if (!primary.is_ok() || !shadow.is_ok()) {
-            ++state_.data_errors;
-            return;
-          }
-          std::uint32_t hash = primary.value();
-          if (hash == 0) {  // first lap: seed both copies
-            hash = 0x9e37'79b9u + static_cast<std::uint32_t>(n);
-          } else if (hash != shadow.value()) {
-            ++state_.data_errors;
-            t.guest.console_puts("int" + std::to_string(n) + " MISMATCH\n");
-            // Recover by majority-of-one: rewrite both from the primary.
-          }
-          for (int i = 0; i < 64; ++i) {
-            hash = int_chain_step(hash, static_cast<std::uint32_t>(n));
-          }
-          (void)t.guest.ram_write_u32(addr, hash);
-          (void)t.guest.ram_write_u32(shadow_addr, hash);
-          ++state_.int_iterations[index];
-          if (state_.int_iterations[index] % 40 == 0) {
-            t.guest.console_puts("int" + std::to_string(n) + " ok\n");
-          }
-          t.kernel.delay(t.self, 25 + static_cast<std::uint64_t>(n) * 3);
-        });
+    kernel_.add_task(1, kIntStep, static_cast<std::uint32_t>(n));
   }
+}
+
+void FreeRtosImage::blink_step(rtos::TaskContext& t) {
+  state_.led_on = !state_.led_on;
+  t.guest.set_led(state_.led_on);
+  ++state_.blinks;
+  if (state_.blinks % 4 == 0) {
+    t.guest.console_puts("blink " + std::to_string(state_.blinks) + "\n");
+  }
+  t.kernel.delay(t.self, 500);
+}
+
+void FreeRtosImage::tx_step(rtos::TaskContext& t) {
+  const std::uint32_t item = message_checksum(state_.tx_seq);
+  if (t.kernel.queue_send(t.self, state_.msg_queue, item)) {
+    ++state_.tx_seq;
+    t.kernel.delay(t.self, 20);
+  }
+  // If the queue was full the task is now blocked; retried on wake.
+}
+
+void FreeRtosImage::rx_step(rtos::TaskContext& t) {
+  const auto item = t.kernel.queue_receive(t.self, state_.msg_queue);
+  if (!item.has_value()) return;  // blocked until data arrives
+  if (*item == message_checksum(state_.rx_seq)) {
+    ++state_.rx_validated;
+    if (state_.rx_validated % 25 == 0) {
+      t.guest.console_puts("rx " + std::to_string(state_.rx_validated) + " ok\n");
+    }
+  } else {
+    ++state_.data_errors;
+    t.guest.console_puts("rx CHECKSUM ERROR at seq " +
+                         std::to_string(state_.rx_seq) + "\n");
+  }
+  ++state_.rx_seq;
+}
+
+void FreeRtosImage::fp_step(rtos::TaskContext& t) {
+  const int fp = static_cast<int>(t.param);
+  const auto index = static_cast<std::size_t>(fp);
+  auto& acc = state_.fp_accumulators[index];
+  auto& shadow = state_.fp_shadows[index];
+  auto& iter = state_.fp_iterations[index];
+  // 32 accumulation steps per lap of a convergent series, applied to
+  // the working accumulator and, in reverse association, to a shadow
+  // copy. State corruption shows up as divergence between the two.
+  double lap = 0.0;
+  for (int i = 31; i >= 0; --i) {
+    const double k = static_cast<double>(iter * 32 + static_cast<std::uint64_t>(i) + 1);
+    lap += (fp == 0 ? 1.0 : -1.0) / (k * k);
+  }
+  for (int i = 0; i < 32; ++i) {
+    const double k = static_cast<double>(iter * 32 + static_cast<std::uint64_t>(i) + 1);
+    acc += (fp == 0 ? 1.0 : -1.0) / (k * k);
+  }
+  shadow += lap;
+  ++iter;
+  if (iter % 50 == 0) {
+    const bool ok = std::abs(shadow - acc) < 1e-9;
+    if (!ok) ++state_.data_errors;
+    t.guest.console_puts("fp" + std::to_string(fp) +
+                         (ok ? " ok " : " BAD ") + std::to_string(iter) + "\n");
+  }
+  t.kernel.delay(t.self, 5 + static_cast<std::uint64_t>(fp) * 2);
+}
+
+void FreeRtosImage::int_step(rtos::TaskContext& t) {
+  const int n = static_cast<int>(t.param);
+  const auto index = static_cast<std::size_t>(n);
+  const std::uint64_t addr = kStateBase + static_cast<std::uint64_t>(n) * 4;
+  const std::uint64_t shadow_addr =
+      kShadowBase + static_cast<std::uint64_t>(n) * 4;
+  auto primary = t.guest.ram_read_u32(addr);
+  auto shadow = t.guest.ram_read_u32(shadow_addr);
+  if (!primary.is_ok() || !shadow.is_ok()) {
+    ++state_.data_errors;
+    return;
+  }
+  std::uint32_t hash = primary.value();
+  if (hash == 0) {  // first lap: seed both copies
+    hash = 0x9e37'79b9u + static_cast<std::uint32_t>(n);
+  } else if (hash != shadow.value()) {
+    ++state_.data_errors;
+    t.guest.console_puts("int" + std::to_string(n) + " MISMATCH\n");
+    // Recover by majority-of-one: rewrite both from the primary.
+  }
+  for (int i = 0; i < 64; ++i) {
+    hash = int_chain_step(hash, static_cast<std::uint32_t>(n));
+  }
+  (void)t.guest.ram_write_u32(addr, hash);
+  (void)t.guest.ram_write_u32(shadow_addr, hash);
+  ++state_.int_iterations[index];
+  if (state_.int_iterations[index] % 40 == 0) {
+    t.guest.console_puts("int" + std::to_string(n) + " ok\n");
+  }
+  t.kernel.delay(t.self, 25 + static_cast<std::uint64_t>(n) * 3);
 }
 
 void FreeRtosImage::run_quantum(jh::GuestContext& ctx) {

@@ -21,7 +21,7 @@ namespace mcs::guest {
 
 class FreeRtosImage final : public jh::GuestImage {
  public:
-  FreeRtosImage() = default;
+  FreeRtosImage() noexcept : kernel_(kSteps, this) {}
 
   [[nodiscard]] std::string_view name() const override { return "freertos"; }
   void on_start(jh::GuestContext& ctx) override;
@@ -48,6 +48,11 @@ class FreeRtosImage final : public jh::GuestImage {
 
   /// Task counts per the paper.
   static constexpr int kIntegerTasks = 15;
+
+  /// The workload's task roles, in the order of the image's static step
+  /// table. A task's identity is its (step, param) pair: `param` is the
+  /// FP index for kFpStep and the integer-task number for kIntStep.
+  enum Step : std::uint32_t { kBlinkStep, kTxStep, kRxStep, kFpStep, kIntStep };
 
   /// Guest-RAM state block: the integer tasks keep their hash chains in
   /// cell memory with a redundant second copy (the classic ASIL
@@ -80,7 +85,7 @@ class FreeRtosImage final : public jh::GuestImage {
 
   /// Kernel state plus the workload's. Restoring the power-on image
   /// (taken at construction) drops the task set; on_start() re-spawns
-  /// the workload.
+  /// the workload. Holds no pointers, so any FreeRtosImage restores it.
   struct Snapshot {
     rtos::Kernel::Snapshot kernel;
     State state;
@@ -100,6 +105,14 @@ class FreeRtosImage final : public jh::GuestImage {
 
  private:
   void spawn_workload();
+
+  // The task steps, one per Step, in that order in kSteps.
+  void blink_step(rtos::TaskContext& t);
+  void tx_step(rtos::TaskContext& t);
+  void rx_step(rtos::TaskContext& t);
+  void fp_step(rtos::TaskContext& t);
+  void int_step(rtos::TaskContext& t);
+  static const rtos::StepFn kSteps[5];
 
   /// Reference checksum for the tx/rx stream (Fletcher-style).
   [[nodiscard]] static std::uint32_t message_checksum(std::uint32_t seq) noexcept;

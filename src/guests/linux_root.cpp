@@ -20,7 +20,7 @@ void LinuxRootImage::on_timer(jh::GuestContext& ctx) {
 }
 
 jh::HvcResult LinuxRootImage::last_result(jh::Hypercall op) const noexcept {
-  for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
+  for (auto it = state_.records.rbegin(); it != state_.records.rend(); ++it) {
     if (it->op == op) return it->result;
   }
   return jh::kHvcENoSys;
@@ -38,7 +38,7 @@ void LinuxRootImage::run_quantum(jh::GuestContext& ctx) {
     state_.pending.pop_front();
     const jh::HvcResult result =
         ctx.hypercall(static_cast<std::uint32_t>(command.op), command.arg);
-    records_.push_back(
+    state_.records.push_back(
         {command.op, command.arg, result, ctx.now().value});
     const std::string verdict =
         result >= 0 ? "ok"

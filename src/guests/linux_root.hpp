@@ -32,6 +32,8 @@ struct MgmtRecord {
   std::uint32_t arg = 0;
   jh::HvcResult result = 0;
   std::uint64_t tick = 0;
+
+  bool operator==(const MgmtRecord&) const = default;
 };
 
 class LinuxRootImage final : public jh::GuestImage {
@@ -57,7 +59,7 @@ class LinuxRootImage final : public jh::GuestImage {
   }
 
   [[nodiscard]] const std::vector<MgmtRecord>& records() const noexcept {
-    return records_;
+    return state_.records;
   }
   [[nodiscard]] bool idle() const noexcept { return state_.pending.empty(); }
 
@@ -78,10 +80,13 @@ class LinuxRootImage final : public jh::GuestImage {
   [[nodiscard]] std::uint64_t jiffies() const noexcept { return state_.jiffies; }
 
   // --- snapshot / restore ------------------------------------------------
-  /// The root image's run-mutable fields (command queue, last results,
-  /// jiffies), declared once.
+  /// The root image's run-mutable fields (command queue, result records,
+  /// last results, jiffies), declared once: the state block is the
+  /// snapshot. A boot issues a handful of commands, so the records are
+  /// copied whole.
   struct State {
     std::deque<MgmtCommand> pending;
+    std::vector<MgmtRecord> records;
     std::uint32_t last_created_cell = 0;
     std::uint32_t monitored_cell = 0;
     jh::HvcResult last_poll_state = jh::kHvcENoEnt;
@@ -91,29 +96,14 @@ class LinuxRootImage final : public jh::GuestImage {
     bool operator==(const State&) const = default;
   };
 
-  /// The record vector is append-only between restores, so it snapshots
-  /// as a length and restores by truncation (to empty for the power-on
-  /// image; capacity kept).
-  struct Snapshot {
-    State state;
-    std::size_t record_count = 0;
+  using Snapshot = State;
 
-    bool operator==(const Snapshot&) const = default;
-  };
+  void snapshot_to(Snapshot& out) const { out = state_; }
 
-  void snapshot_to(Snapshot& out) const {
-    out.state = state_;
-    out.record_count = records_.size();
-  }
-
-  void restore_from(const Snapshot& snapshot) {
-    state_ = snapshot.state;
-    if (records_.size() > snapshot.record_count) records_.resize(snapshot.record_count);
-  }
+  void restore_from(const Snapshot& snapshot) { state_ = snapshot; }
 
  private:
   State state_;
-  std::vector<MgmtRecord> records_;
 };
 
 }  // namespace mcs::guest

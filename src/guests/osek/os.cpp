@@ -13,18 +13,19 @@ std::string_view status_name(Status status) noexcept {
   return "?";
 }
 
-TaskId Os::declare_task(std::string name, unsigned priority, TaskBody body) {
-  tasks_.push_back({std::move(name), std::move(body)});
+TaskId Os::declare_task(unsigned priority, std::uint32_t step) {
   TaskData data;
   data.priority = priority;
+  data.step = step;
   state_.tasks.push_back(data);
-  return tasks_.size() - 1;
+  return state_.tasks.size() - 1;
 }
 
-AlarmId Os::declare_alarm(std::string name, TaskId activates) {
-  alarms_.push_back({std::move(name), activates});
-  state_.alarms.emplace_back();
-  return alarms_.size() - 1;
+AlarmId Os::declare_alarm(TaskId activates) {
+  AlarmData data;
+  data.activates = activates;
+  state_.alarms.push_back(data);
+  return state_.alarms.size() - 1;
 }
 
 Status Os::activate_task(TaskId task) {
@@ -46,7 +47,6 @@ Status Os::chain_task(TaskContext& ctx, TaskId next) {
       state_.tasks[ctx.self].state != TaskState::Running) {
     return Status::E_OS_STATE;
   }
-  state_.tasks[ctx.self].chained = true;
   // Chaining to self is the OSEK idiom for "run me again".
   return activate_task(next);
 }
@@ -71,10 +71,9 @@ Status Os::cancel_alarm(AlarmId alarm) {
 
 void Os::on_counter_tick() {
   ++state_.counter;
-  for (std::size_t i = 0; i < state_.alarms.size(); ++i) {
-    AlarmData& alarm = state_.alarms[i];
+  for (AlarmData& alarm : state_.alarms) {
     if (!alarm.armed || alarm.expires_at != state_.counter) continue;
-    (void)activate_task(alarms_[i].activates);  // E_OS_LIMIT drops are per spec
+    (void)activate_task(alarm.activates);  // E_OS_LIMIT drops are per spec
     if (alarm.cycle != 0) {
       alarm.expires_at = state_.counter + alarm.cycle;
     } else {
@@ -100,10 +99,9 @@ std::optional<TaskId> Os::dispatch() {
   ++task.activations;
   ++state_.dispatches;
   TaskContext ctx{*this, best};
-  tasks_[best].body(ctx);
+  steps_[task.step](owner_, ctx);
   // TerminateTask semantics: the body ran to completion.
   task.state = TaskState::Suspended;
-  task.chained = false;
   if (task.pending) {  // a queued activation becomes ready immediately
     task.pending = false;
     task.state = TaskState::Ready;
@@ -117,13 +115,6 @@ TaskState Os::task_state(TaskId task) const {
 
 std::uint64_t Os::activations(TaskId task) const {
   return task < state_.tasks.size() ? state_.tasks[task].activations : 0;
-}
-
-std::optional<TaskId> Os::find_task(std::string_view name) const {
-  for (TaskId id = 0; id < tasks_.size(); ++id) {
-    if (tasks_[id].name == name) return id;
-  }
-  return std::nullopt;
 }
 
 bool Os::invariants_hold() const noexcept {

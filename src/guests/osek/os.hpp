@@ -14,11 +14,10 @@
 // it attractive for ASIL partitions.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
-#include <functional>
 #include <optional>
-#include <string>
+#include <span>
+#include <string_view>
 #include <vector>
 
 namespace mcs::guest::osek {
@@ -48,15 +47,21 @@ struct TaskContext {
   TaskId self;
 };
 
-/// Task body: one run-to-completion execution. The body must finish by
-/// returning (TerminateTask) or calling ChainTask via the context.
-using TaskBody = std::function<void(TaskContext&)>;
+/// Task body: one run-to-completion execution, an entry of the owner's
+/// static table. The body must finish by returning (TerminateTask) or
+/// calling ChainTask via the context.
+using StepFn = void (*)(void* owner, TaskContext& ctx);
 
 class Os {
  public:
+  /// `steps` is the owner's static body table and `owner` the pointer
+  /// every body receives. Neither is state: each owner binds its own.
+  Os(std::span<const StepFn> steps, void* owner) noexcept
+      : steps_(steps), owner_(owner) {}
+
   // --- configuration (build time, like an OIL file) ----------------------
-  TaskId declare_task(std::string name, unsigned priority, TaskBody body);
-  AlarmId declare_alarm(std::string name, TaskId activates);
+  TaskId declare_task(unsigned priority, std::uint32_t step);
+  AlarmId declare_alarm(TaskId activates);
 
   // --- OSEK services ------------------------------------------------------
   Status activate_task(TaskId task);
@@ -74,30 +79,30 @@ class Os {
   std::optional<TaskId> dispatch();
 
   // --- introspection --------------------------------------------------------
-  [[nodiscard]] std::size_t task_count() const noexcept { return tasks_.size(); }
+  [[nodiscard]] std::size_t task_count() const noexcept { return state_.tasks.size(); }
   [[nodiscard]] TaskState task_state(TaskId task) const;
   [[nodiscard]] std::uint64_t activations(TaskId task) const;
   [[nodiscard]] std::uint64_t dispatches() const noexcept { return state_.dispatches; }
   [[nodiscard]] std::uint64_t counter() const noexcept { return state_.counter; }
-  [[nodiscard]] std::optional<TaskId> find_task(std::string_view name) const;
 
   /// OSEK invariants: at most one Running task (none between dispatches),
   /// pending activations ∈ {0, 1} per basic task.
   [[nodiscard]] bool invariants_hold() const noexcept;
 
   // --- snapshot / restore ------------------------------------------------
-  /// A task's run-mutable record (priority rides along so the dispatch
-  /// scan reads one dense vector).
+  /// A task's identity (its step) and run-mutable record (priority
+  /// rides along so the dispatch scan reads one dense vector).
   struct TaskData {
     TaskState state = TaskState::Suspended;
     bool pending = false;   ///< one queued activation (BCC1)
-    bool chained = false;   ///< ChainTask target of the current body
     unsigned priority = 1;
+    std::uint32_t step = 0;  ///< index into the OS's body table
     std::uint64_t activations = 0;
 
     bool operator==(const TaskData&) const = default;
   };
   struct AlarmData {
+    TaskId activates = 0;
     bool armed = false;
     std::uint64_t expires_at = 0;
     std::uint64_t cycle = 0;  ///< 0 = one-shot
@@ -106,14 +111,13 @@ class Os {
   };
 
   /// Everything the OS mutates, declared once: the state block is the
-  /// snapshot. Tasks and alarms are declared only at configuration time
-  /// (pre-capture); their identity (names, body closures, alarm targets)
-  /// lives outside the block and is never copied — restore truncates it
-  /// to the captured counts. The power-on image (an empty OS) drops every
-  /// task and alarm, capacity kept.
+  /// snapshot. Task identity (the step) and alarm targets are plain
+  /// data in their records, so the block holds no pointers and restores
+  /// into any OS bound to the same body table. The power-on image (an
+  /// empty OS) drops every task and alarm, capacity kept.
   struct State {
-    std::vector<TaskData> tasks;    ///< parallel to tasks_ (identity)
-    std::vector<AlarmData> alarms;  ///< parallel to alarms_ (identity)
+    std::vector<TaskData> tasks;
+    std::vector<AlarmData> alarms;
     std::uint64_t counter = 0;
     std::uint64_t dispatches = 0;
 
@@ -123,27 +127,11 @@ class Os {
 
   void snapshot_to(Snapshot& out) const { out = state_; }
 
-  void restore_from(const Snapshot& snapshot) {
-    if (tasks_.size() > snapshot.tasks.size()) tasks_.resize(snapshot.tasks.size());
-    if (alarms_.size() > snapshot.alarms.size()) alarms_.resize(snapshot.alarms.size());
-    assert(tasks_.size() == snapshot.tasks.size());
-    assert(alarms_.size() == snapshot.alarms.size());
-    state_ = snapshot;
-  }
+  void restore_from(const Snapshot& snapshot) { state_ = snapshot; }
 
  private:
-  struct Task {
-    std::string name;
-    TaskBody body;
-  };
-
-  struct Alarm {
-    std::string name;
-    TaskId activates = 0;
-  };
-
-  std::vector<Task> tasks_;
-  std::vector<Alarm> alarms_;
+  std::span<const StepFn> steps_;
+  void* owner_;
   State state_;
 };
 

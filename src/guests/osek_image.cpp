@@ -5,6 +5,15 @@
 #include "hypervisor/ivshmem.hpp"
 
 namespace mcs::guest {
+namespace {
+
+/// Body-table entry calling member body `Fn` on the OS's owner.
+template <void (OsekImage::*Fn)(osek::TaskContext&)>
+void bound(void* owner, osek::TaskContext& ctx) {
+  (static_cast<OsekImage*>(owner)->*Fn)(ctx);
+}
+
+}  // namespace
 
 void OsekImage::on_start(jh::GuestContext& ctx) {
   ctx.console_puts("AUTOSAR-classic OS (OSEK BCC1) up in cell '" +
@@ -17,40 +26,44 @@ void OsekImage::on_start(jh::GuestContext& ctx) {
                    " tasks declared\n");
 }
 
+const osek::StepFn OsekImage::kSteps[4] = {
+    &bound<&OsekImage::brake_acq_step>, &bound<&OsekImage::frame_tx_step>,
+    &bound<&OsekImage::wdg_kick_step>, &bound<&OsekImage::self_test_step>};
+
 void OsekImage::declare_workload() {
   // 10 ms brake-pressure acquisition: sample, range-check, filter.
-  const osek::TaskId brake = os_.declare_task(
-      "BrakeAcq", 4, [this](osek::TaskContext&) {
-        // Triangle-wave "ADC" with a plausibility check (ISO 26262 E/E
-        // mitigation at the application level).
-        state_.pressure_raw = (state_.pressure_raw + 0x31) & 0xfff;
-        // Cannot happen unless corrupted.
-        if (state_.pressure_raw > 0xfff) ++state_.errors;
-        ++state_.samples;
-      });
-
+  const osek::TaskId brake = os_.declare_task(4, kBrakeAcqStep);
   // 50 ms frame transmit: length-checked line on the cell console.
-  const osek::TaskId frame = os_.declare_task(
-      "FrameTx", 3, [this](osek::TaskContext&) {
-        ++state_.frame_seq;
-        ++state_.frames;
-        state_.pending_frame = true;
-      });
-
+  const osek::TaskId frame = os_.declare_task(3, kFrameTxStep);
   // 100 ms alive supervision: the classical external-watchdog kick.
-  const osek::TaskId wdg = os_.declare_task(
-      "WdgKick", 2, [this](osek::TaskContext&) { ++state_.kicks; });
-
+  const osek::TaskId wdg = os_.declare_task(2, kWdgKickStep);
   // Idle-level self-test task, chained from the watchdog every 10th kick.
-  const osek::TaskId self_test = os_.declare_task(
-      "SelfTest", 1, [this](osek::TaskContext&) {
-        if ((state_.pressure_raw & 0xfff) != state_.pressure_raw) ++state_.errors;
-      });
-  (void)self_test;
+  (void)os_.declare_task(1, kSelfTestStep);
 
-  (void)os_.set_rel_alarm(os_.declare_alarm("AlBrake", brake), 10, 10);
-  (void)os_.set_rel_alarm(os_.declare_alarm("AlFrame", frame), 50, 50);
-  (void)os_.set_rel_alarm(os_.declare_alarm("AlWdg", wdg), 100, 100);
+  (void)os_.set_rel_alarm(os_.declare_alarm(brake), 10, 10);
+  (void)os_.set_rel_alarm(os_.declare_alarm(frame), 50, 50);
+  (void)os_.set_rel_alarm(os_.declare_alarm(wdg), 100, 100);
+}
+
+void OsekImage::brake_acq_step(osek::TaskContext&) {
+  // Triangle-wave "ADC" with a plausibility check (ISO 26262 E/E
+  // mitigation at the application level).
+  state_.pressure_raw = (state_.pressure_raw + 0x31) & 0xfff;
+  // Cannot happen unless corrupted.
+  if (state_.pressure_raw > 0xfff) ++state_.errors;
+  ++state_.samples;
+}
+
+void OsekImage::frame_tx_step(osek::TaskContext&) {
+  ++state_.frame_seq;
+  ++state_.frames;
+  state_.pending_frame = true;
+}
+
+void OsekImage::wdg_kick_step(osek::TaskContext&) { ++state_.kicks; }
+
+void OsekImage::self_test_step(osek::TaskContext&) {
+  if ((state_.pressure_raw & 0xfff) != state_.pressure_raw) ++state_.errors;
 }
 
 void OsekImage::run_quantum(jh::GuestContext& ctx) {

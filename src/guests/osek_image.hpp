@@ -15,7 +15,7 @@ namespace mcs::guest {
 
 class OsekImage final : public jh::GuestImage {
  public:
-  OsekImage() = default;
+  OsekImage() noexcept : os_(kSteps, this) {}
 
   [[nodiscard]] std::string_view name() const override { return "autosar-osek"; }
   void on_start(jh::GuestContext& ctx) override;
@@ -55,7 +55,7 @@ class OsekImage final : public jh::GuestImage {
 
   /// OS state plus the workload's. Restoring the power-on image (taken
   /// at construction) drops the task set; on_start() re-declares the
-  /// workload.
+  /// workload. Holds no pointers, so any OsekImage restores it.
   struct Snapshot {
     osek::Os::Snapshot os;
     State state;
@@ -75,6 +75,14 @@ class OsekImage final : public jh::GuestImage {
 
  private:
   void declare_workload();
+
+  // The task bodies, one per Step, in that order in kSteps.
+  enum Step : std::uint32_t { kBrakeAcqStep, kFrameTxStep, kWdgKickStep, kSelfTestStep };
+  void brake_acq_step(osek::TaskContext& ctx);
+  void frame_tx_step(osek::TaskContext& ctx);
+  void wdg_kick_step(osek::TaskContext& ctx);
+  void self_test_step(osek::TaskContext& ctx);
+  static const osek::StepFn kSteps[4];
 
   osek::Os os_;
   State state_;

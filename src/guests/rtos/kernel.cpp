@@ -4,12 +4,13 @@
 
 namespace mcs::guest::rtos {
 
-TaskId Kernel::add_task(std::string name, unsigned priority, TaskStep step) {
-  tasks_.push_back({std::move(name), std::move(step)});
+TaskId Kernel::add_task(unsigned priority, std::uint32_t step, std::uint32_t param) {
   TaskData data;
   data.priority = priority;
+  data.step = step;
+  data.param = param;
   state_.tasks.push_back(data);
-  return tasks_.size() - 1;
+  return state_.tasks.size() - 1;
 }
 
 void Kernel::delay(TaskId task, std::uint64_t ticks) {
@@ -97,18 +98,11 @@ std::optional<TaskId> Kernel::run_slice(jh::GuestContext& guest) {
     t.state = TaskState::Running;
     ++t.dispatches;
     ++state_.dispatches;
-    TaskContext ctx{*this, guest, index};
-    tasks_[index].step(ctx);
+    TaskContext ctx{*this, guest, index, t.param};
+    steps_[t.step](owner_, ctx);
     // A step may have blocked/suspended itself; otherwise it yields.
     if (t.state == TaskState::Running) t.state = TaskState::Ready;
     return index;
-  }
-  return std::nullopt;
-}
-
-std::optional<TaskId> Kernel::find_task(std::string_view name) const {
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (tasks_[i].name == name) return i;
   }
   return std::nullopt;
 }

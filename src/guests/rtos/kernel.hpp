@@ -9,10 +9,9 @@
 // §III) while keeping every scheduling decision deterministic.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "guests/rtos/queue.hpp"
@@ -27,17 +26,22 @@ struct TaskContext {
   Kernel& kernel;
   jh::GuestContext& guest;  ///< the vCPU window (console, LED, hypercalls)
   TaskId self;
+  std::uint32_t param;  ///< the task's step argument
 };
 
 class Kernel {
  public:
-  Kernel() = default;
+  /// `steps` is the owner's static step table and `owner` the pointer
+  /// every step receives. Neither is state: each owner binds its own.
+  Kernel(std::span<const StepFn> steps, void* owner) noexcept
+      : steps_(steps), owner_(owner) {}
 
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
 
   // --- task API (xTaskCreate / vTaskDelay analogues) ---------------------
-  TaskId add_task(std::string name, unsigned priority, TaskStep step);
+  /// Create a task running `steps[step]` with argument `param`.
+  TaskId add_task(unsigned priority, std::uint32_t step, std::uint32_t param = 0);
 
   /// Block the calling task for `ticks` tick-interrupts.
   void delay(TaskId task, std::uint64_t ticks);
@@ -64,14 +68,9 @@ class Kernel {
 
   // --- introspection ------------------------------------------------------
   [[nodiscard]] const TaskData& task(TaskId id) const { return state_.tasks.at(id); }
-  [[nodiscard]] TaskData& task(TaskId id) { return state_.tasks.at(id); }
-  [[nodiscard]] std::size_t task_count() const noexcept { return tasks_.size(); }
-  [[nodiscard]] const MessageQueue& queue(QueueId id) const {
-    return state_.queues.at(id);
-  }
+  [[nodiscard]] std::size_t task_count() const noexcept { return state_.tasks.size(); }
   [[nodiscard]] std::uint64_t ticks() const noexcept { return state_.tick_count; }
   [[nodiscard]] std::uint64_t dispatches() const noexcept { return state_.dispatches; }
-  [[nodiscard]] std::optional<TaskId> find_task(std::string_view name) const;
 
   /// Scheduler invariant checks (used by the property tests): no Running
   /// residue between slices; blocked tasks have a wake reason.
@@ -79,14 +78,12 @@ class Kernel {
 
   // --- snapshot / restore ------------------------------------------------
   /// Everything the scheduler mutates, declared once: the state block is
-  /// the snapshot. Tasks and queues are created only during guest
-  /// start-up (pre-capture) and never removed mid-run; task identity
-  /// (name, step closure) lives outside the block and is never copied —
-  /// restore truncates it to the captured task count. The power-on image
-  /// (an empty kernel) drops every task and queue while container
-  /// capacity is kept.
+  /// the snapshot. A task's identity is its (step, param) pair in its
+  /// TaskData, so the block holds no pointers and restores into any
+  /// kernel bound to the same step table. The power-on image (an empty
+  /// kernel) drops every task and queue while container capacity is kept.
   struct State {
-    std::vector<TaskData> tasks;  ///< parallel to tasks_ (identity)
+    std::vector<TaskData> tasks;
     std::vector<MessageQueue> queues;
     std::uint64_t tick_count = 0;
     std::uint64_t dispatches = 0;
@@ -100,17 +97,14 @@ class Kernel {
 
   void snapshot_to(Snapshot& out) const { out = state_; }
 
-  void restore_from(const Snapshot& snapshot) {
-    if (tasks_.size() > snapshot.tasks.size()) tasks_.resize(snapshot.tasks.size());
-    assert(tasks_.size() == snapshot.tasks.size());
-    state_ = snapshot;
-  }
+  void restore_from(const Snapshot& snapshot) { state_ = snapshot; }
 
  private:
   /// Wake every task blocked on `queue` (space or data became available).
   void wake_queue_waiters(QueueId queue, bool for_space);
 
-  std::vector<Task> tasks_;
+  std::span<const StepFn> steps_;
+  void* owner_;
   State state_;
 };
 

@@ -20,12 +20,18 @@ util::Status CellConfig::validate(int board_cpus) const {
     }
   }
   for (std::size_t i = 0; i < mem_regions.size(); ++i) {
-    if (mem_regions[i].size == 0) {
-      return util::invalid_argument("zero-sized region '" + mem_regions[i].name + "'");
+    const mem::MemRegion& region = mem_regions[i];
+    if (region.size == 0) {
+      return util::invalid_argument("zero-sized region '" + region.name + "'");
+    }
+    if (region.size > UINT64_MAX - region.phys_start ||
+        region.size > UINT64_MAX - region.virt_start) {
+      return util::invalid_argument("region '" + region.name +
+                                    "' wraps past the end of the address space");
     }
     for (std::size_t j = i + 1; j < mem_regions.size(); ++j) {
-      if (mem_regions[i].overlaps_guest(mem_regions[j])) {
-        return util::invalid_argument("regions '" + mem_regions[i].name +
+      if (region.overlaps_guest(mem_regions[j])) {
+        return util::invalid_argument("regions '" + region.name +
                                       "' and '" + mem_regions[j].name +
                                       "' overlap");
       }

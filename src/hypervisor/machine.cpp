@@ -7,16 +7,25 @@
 
 namespace mcs::jh {
 
+std::uint8_t Machine::register_guest(GuestImage& image) {
+  const auto it = std::ranges::find(guests_, &image);
+  if (it != guests_.end()) return static_cast<std::uint8_t>(it - guests_.begin() + 1);
+  assert(guests_.size() < 255 && "slot numbers are one byte");
+  guests_.push_back(&image);
+  return static_cast<std::uint8_t>(guests_.size());
+}
+
 void Machine::bind_guest(CellId cell, GuestImage& image) {
-  if (cell < state_.images.size()) state_.images[cell] = &image;
+  if (cell < state_.slots.size()) state_.slots[cell] = register_guest(image);
 }
 
 void Machine::unbind_guest(CellId cell) {
-  if (cell < state_.images.size()) state_.images[cell] = nullptr;
+  if (cell < state_.slots.size()) state_.slots[cell] = 0;
 }
 
 GuestImage* Machine::guest_for(CellId cell) noexcept {
-  return cell < state_.images.size() ? state_.images[cell] : nullptr;
+  const std::uint8_t slot = cell < state_.slots.size() ? state_.slots[cell] : 0;
+  return slot == 0 ? nullptr : guests_[slot - 1];
 }
 
 void Machine::run_tick() {

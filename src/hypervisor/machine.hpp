@@ -15,8 +15,11 @@
 // those golden comparisons.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstdint>
+#include <vector>
 
 #include "hypervisor/guest.hpp"
 #include "hypervisor/hypervisor.hpp"
@@ -38,8 +41,13 @@ class Machine {
   Machine(platform::Board& board, Hypervisor& hv) noexcept
       : board_(&board), hv_(&hv) {}
 
-  /// Bind a guest image to a cell. Images are owned by the caller and
-  /// must outlive the machine. Re-binding replaces the previous image.
+  /// Give `image` a slot (1, 2, … in registration order, never reused),
+  /// or return the one it already has. Images are owned by the caller and
+  /// must outlive the machine.
+  std::uint8_t register_guest(GuestImage& image);
+
+  /// Bind a guest image to a cell (registering it if new). Re-binding
+  /// replaces the previous image.
   void bind_guest(CellId cell, GuestImage& image);
   void unbind_guest(CellId cell);
   [[nodiscard]] GuestImage* guest_for(CellId cell) noexcept;
@@ -52,12 +60,13 @@ class Machine {
   [[nodiscard]] TickPolicy tick_policy() const noexcept { return state_.policy; }
 
   // --- snapshot / restore ------------------------------------------------
-  /// Guest images are testbed-owned with stable addresses, so the binding
-  /// table is state as raw pointers. The watchdog is caller-installed per
-  /// run (never live at capture) and is not state: restore always
-  /// uninstalls it. Board/hypervisor references are untouched.
+  /// The binding table is state as slot numbers, not pointers: it
+  /// restores into any machine whose registry resolves those slots. The
+  /// registry itself, the watchdog (caller-installed per run, never live
+  /// at capture; restore always uninstalls it) and the board/hypervisor
+  /// references are not state.
   struct State {
-    std::array<GuestImage*, 16> images{};      ///< by cell id, small & flat
+    std::array<std::uint8_t, 16> slots{};       ///< by cell id; 0 = unbound
     std::array<bool, irq::kMaxCpus> started{};  ///< on_start() issued per cpu
     TickPolicy policy = TickPolicy::EventDriven;
 
@@ -68,6 +77,7 @@ class Machine {
   void snapshot_to(Snapshot& out) const noexcept { out = state_; }
 
   void restore_from(const Snapshot& snapshot) noexcept {
+    assert(std::ranges::max(snapshot.slots) <= guests_.size());
     state_ = snapshot;
     watchdog_ = nullptr;
   }
@@ -102,6 +112,7 @@ class Machine {
   platform::Board* board_;
   Hypervisor* hv_;
   CellWatchdog* watchdog_ = nullptr;
+  std::vector<GuestImage*> guests_;  ///< slot - 1 → image; append-only
   State state_;
 };
 

@@ -121,7 +121,7 @@ void Board::snapshot_to(Snapshot& out) const {
   timer_.snapshot_to(out.timer);
   gpio_.snapshot_to(out.gpio);
   dram_.snapshot_to(out.dram);
-  out.log_records = log_.size();
+  out.log = log_.records();
 }
 
 void Board::restore_from(const Snapshot& snapshot) {
@@ -135,7 +135,7 @@ void Board::restore_from(const Snapshot& snapshot) {
   timer_.restore_from(snapshot.timer);
   gpio_.restore_from(snapshot.gpio);
   dram_.restore_from(snapshot.dram);
-  log_.truncate(snapshot.log_records);
+  log_.restore(snapshot.log);
 }
 
 }  // namespace mcs::platform

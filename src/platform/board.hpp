@@ -103,12 +103,13 @@ class Board {
   }
 
   // --- snapshot / restore ------------------------------------------------
-  /// Everything a run mutates below the hypervisor: clock, CPUs, devices,
-  /// irqchip, DRAM (dirty pages only) and the log length, all held by
-  /// value. A snapshot taken right after construction is the board's
-  /// power-on image: restoring it rewinds the clock to tick 0, zeroes the
-  /// dirty DRAM pages in place and truncates the serial captures and
-  /// event log, while every backing allocation (CPUs, DRAM pages,
+  /// Everything a run mutates below the hypervisor: clock, CPUs, devices
+  /// (serial captures included), irqchip, DRAM (dirty pages only) and the
+  /// event log, all held by value, so any board of the same variant
+  /// restores it. A snapshot taken right after construction is the
+  /// board's power-on image: restoring it rewinds the clock to tick 0,
+  /// zeroes the dirty DRAM pages in place and empties the serial captures
+  /// and event log, while every backing allocation (CPUs, DRAM pages,
   /// capture/log capacity) stays resident.
   struct Snapshot {
     util::Ticks clock_now{};
@@ -119,7 +120,7 @@ class Board {
     PeriodicTimer::Snapshot timer;
     Gpio::Snapshot gpio;
     mem::PhysicalMemory::Snapshot dram;
-    std::size_t log_records = 0;
+    std::vector<util::LogRecord> log;
 
     bool operator==(const Snapshot&) const = default;
   };

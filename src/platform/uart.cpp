@@ -33,7 +33,7 @@ util::Expected<std::uint32_t> Uart::mmio_read(std::uint64_t offset) {
 util::Status Uart::mmio_write(std::uint64_t offset, std::uint32_t value) {
   switch (offset) {
     case kUartThr:
-      captured_.push_back(static_cast<char>(value & 0xff));
+      state_.captured.push_back(static_cast<char>(value & 0xff));
       if (state_.tx_irq_enabled && gic_ != nullptr) {
         MCS_RETURN_IF_ERROR(gic_->raise_spi(tx_irq_));
       }
@@ -51,7 +51,7 @@ util::Status Uart::mmio_write(std::uint64_t offset, std::uint32_t value) {
 std::vector<std::string> Uart::lines() const {
   std::vector<std::string> out;
   std::string current;
-  for (const char c : captured_) {
+  for (const char c : state_.captured) {
     if (c == '\n') {
       out.push_back(current);
       current.clear();

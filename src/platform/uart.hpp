@@ -36,14 +36,14 @@ class Uart final : public Device {
   util::Status mmio_write(std::uint64_t offset, std::uint32_t value) override;
 
   /// Everything ever transmitted (the log the paper collects).
-  [[nodiscard]] const std::string& captured() const noexcept { return captured_; }
+  [[nodiscard]] const std::string& captured() const noexcept { return state_.captured; }
 
   /// Transmitted bytes since the given high-water mark; used by the run
   /// monitor to detect a silent (blank-output) cell.
   [[nodiscard]] std::size_t bytes_since(std::size_t mark) const noexcept {
-    return captured_.size() >= mark ? captured_.size() - mark : 0;
+    return state_.captured.size() >= mark ? state_.captured.size() - mark : 0;
   }
-  [[nodiscard]] std::size_t total_bytes() const noexcept { return captured_.size(); }
+  [[nodiscard]] std::size_t total_bytes() const noexcept { return state_.captured.size(); }
 
   /// Completed lines (split on '\n').
   [[nodiscard]] std::vector<std::string> lines() const;
@@ -51,42 +51,30 @@ class Uart final : public Device {
   /// Host-side input (loopback/test support).
   void feed_rx(std::string_view data);
 
-  void clear_capture() noexcept { captured_.clear(); }
+  void clear_capture() noexcept { state_.captured.clear(); }
 
   // --- snapshot / restore (testbed warm-start) --------------------------
-  /// The port's run-mutable registers, declared once.
+  /// The port's run-mutable registers and its capture, declared once:
+  /// the state block is the snapshot. The capture holds the bytes
+  /// themselves, so a snapshot restores the same console history on any
+  /// port; a live capture's capacity only grows, so the steady restore
+  /// path allocates nothing.
   struct State {
     std::string rx_fifo;
     bool tx_irq_enabled = false;
+    std::string captured;  ///< everything transmitted
 
     bool operator==(const State&) const = default;
   };
+  using Snapshot = State;
 
-  /// The capture buffer is append-only between restores, so its
-  /// snapshot is just a length: restore assigns the state block, then
-  /// truncates the capture back to the captured prefix (no byte copies,
-  /// no allocations).
-  struct Snapshot {
-    State state;
-    std::size_t captured_size = 0;
+  void snapshot_to(Snapshot& out) const { out = state_; }
 
-    bool operator==(const Snapshot&) const = default;
-  };
-
-  void snapshot_to(Snapshot& out) const {
-    out.state = state_;
-    out.captured_size = captured_.size();
-  }
-
-  void restore_from(const Snapshot& snapshot) {
-    state_ = snapshot.state;
-    captured_.resize(snapshot.captured_size);
-  }
+  void restore_from(const Snapshot& snapshot) { state_ = snapshot; }
 
  private:
   irq::Gic* gic_;
   irq::IrqId tx_irq_;
-  std::string captured_;
   State state_;
 };
 

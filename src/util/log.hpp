@@ -24,6 +24,8 @@ struct LogRecord {
   std::string component;  ///< e.g. "hypervisor", "uart1", "rtos"
   int cpu = -1;           ///< originating CPU, -1 if not CPU-bound
   std::string message;
+
+  bool operator==(const LogRecord&) const = default;
 };
 
 /// Append-only in-memory log with optional mirroring to a callback (used by
@@ -43,12 +45,10 @@ class EventLog {
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
   void clear() noexcept { records_.clear(); }
 
-  /// Drop every record past the first `count` (testbed snapshot restore:
-  /// the log is append-only between resets, so rewinding to a captured
-  /// length reproduces the captured log exactly, without copying records).
-  void truncate(std::size_t count) noexcept {
-    if (count < records_.size()) records_.resize(count);
-  }
+  /// Replace the records with captured ones (testbed snapshot restore).
+  /// The log is append-only between restores, so a live log already
+  /// holds equal records with enough capacity and this allocates nothing.
+  void restore(const std::vector<LogRecord>& records) { records_ = records; }
 
   /// Count records at or above `severity`.
   [[nodiscard]] std::size_t count_at_least(Severity severity) const noexcept;

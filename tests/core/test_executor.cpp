@@ -84,6 +84,21 @@ TEST(CampaignExecutor, TuningBoardKeyOverridesPlanBoard) {
       << result.runs[0].detail;
 }
 
+TEST(CampaignExecutor, WrappingRamTuningIsInvalidArgumentsLikeOversizedRam) {
+  // A ram region whose end wraps past 2^64 must be refused at create, the
+  // same outcome as one that does not fit the root's loanable pool.
+  for (const char* tuning : {"ram 0xffffffffffffffff", "ram 0x100000000"}) {
+    TestPlan plan = quick_plan(2);
+    plan.scenario = "freertos-steady";
+    plan.cell_tuning = tuning;
+    const CampaignResult result = CampaignExecutor(plan, {1}).execute();
+    ASSERT_EQ(result.runs.size(), 2u) << tuning;
+    for (const RunResult& run : result.runs) {
+      EXPECT_EQ(run.outcome, Outcome::InvalidArguments) << tuning << ": " << run.detail;
+    }
+  }
+}
+
 TEST(CampaignExecutor, ProgressFiresOncePerRunWithUniqueIndices) {
   const TestPlan plan = quick_plan(16);
   CampaignExecutor executor(plan, {4});

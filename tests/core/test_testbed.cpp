@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/injector.hpp"
 #include "core/scenario.hpp"
 #include "hypervisor/ivshmem.hpp"
@@ -301,6 +303,60 @@ TEST(TestbedSnapshot, HeldCopySurvivesResetAndRecapture) {
   testbed.restore(held);
   EXPECT_EQ(dram_hash(testbed, held), captured);
   EXPECT_EQ(testbed.board().now(), held.board.clock_now);
+
+  // Straight after reset(), with no setup or boot, the copy restores and
+  // runs: guest task identity is part of the snapshot.
+  testbed.reset();
+  testbed.restore(held);
+  EXPECT_EQ(dram_hash(testbed, held), captured);
+  testbed.capture_snapshot("early");
+  EXPECT_TRUE(testbed.snapshot() == held);
+  testbed.run(2'000);
+  EXPECT_GT(testbed.freertos().kernel().dispatches(), held.freertos.kernel.dispatches);
+  EXPECT_GT(testbed.freertos().blink_count(), held.freertos.state.blinks);
+}
+
+TEST(TestbedSnapshot, RestoresOnAFreshTestbed) {
+  // A snapshot holds no pointers, so any testbed on the capturing board
+  // variant restores it: capture on A, destroy A, restore on a freshly
+  // built B with no setup or boot. B must then run exactly like a third
+  // fresh testbed restored from the same copy, and like a reference
+  // testbed that sets up, boots and runs straight through.
+  constexpr std::uint64_t kTicks = 5'000;
+  for (const std::string board : {"bananapi", "quad-a7"}) {
+    for (const std::string& name : ScenarioRegistry::instance().names()) {
+      const Scenario* scenario = find_scenario(name);
+      const std::string label = name + " on " + board;
+      auto a = std::make_unique<Testbed>(platform::make_board(board));
+      if (!scenario->setup(*a).is_ok()) continue;
+      scenario->boot(*a);
+      a->capture_snapshot("post-boot");
+      const TestbedSnapshot copy = a->snapshot();
+
+      Testbed b(platform::make_board(board));
+      a.reset();
+      b.restore(copy);
+      b.run(kTicks);
+      b.capture_snapshot("after");
+
+      Testbed c(platform::make_board(board));
+      c.restore(copy);
+      c.run(kTicks);
+      c.capture_snapshot("after");
+
+      EXPECT_TRUE(b.snapshot() == c.snapshot()) << label;
+      EXPECT_EQ(b.board().uart1().captured(), c.board().uart1().captured()) << label;
+
+      Testbed reference(platform::make_board(board));
+      ASSERT_TRUE(scenario->setup(reference).is_ok()) << label;
+      scenario->boot(reference);
+      reference.run(kTicks);
+      reference.capture_snapshot("after");
+      EXPECT_TRUE(b.snapshot() == reference.snapshot()) << label;
+      EXPECT_EQ(b.board().uart1().captured(), reference.board().uart1().captured())
+          << label;
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "core/testbed.hpp"
 
 namespace mcs::guest {
@@ -19,17 +22,22 @@ class FreeRtosWorkloadTest : public ::testing::Test {
 };
 
 TEST_F(FreeRtosWorkloadTest, SpawnsThePaperTaskMix) {
-  // 1 blink + 2 (send/receive) + 2 FP + 15 integer = 20 tasks.
+  // 1 blink + 2 (send/receive) + 2 FP + 15 integer = 20 tasks, each named
+  // by its (step, param) pair.
   const rtos::Kernel& kernel = testbed_.freertos().kernel();
-  EXPECT_EQ(kernel.task_count(), 20u);
-  EXPECT_TRUE(kernel.find_task("blink").has_value());
-  EXPECT_TRUE(kernel.find_task("tx").has_value());
-  EXPECT_TRUE(kernel.find_task("rx").has_value());
-  EXPECT_TRUE(kernel.find_task("fp0").has_value());
-  EXPECT_TRUE(kernel.find_task("fp1").has_value());
-  for (int n = 0; n < FreeRtosImage::kIntegerTasks; ++n) {
-    const std::string name = (n < 10 ? "int0" : "int") + std::to_string(n);
-    EXPECT_TRUE(kernel.find_task(name).has_value()) << name;
+  ASSERT_EQ(kernel.task_count(), 20u);
+  std::map<std::pair<std::uint32_t, std::uint32_t>, int> roles;
+  for (rtos::TaskId id = 0; id < kernel.task_count(); ++id) {
+    ++roles[{kernel.task(id).step, kernel.task(id).param}];
+  }
+  EXPECT_EQ(roles.size(), 20u) << "every (step, param) is distinct";
+  EXPECT_TRUE(roles.contains({FreeRtosImage::kBlinkStep, 0}));
+  EXPECT_TRUE(roles.contains({FreeRtosImage::kTxStep, 0}));
+  EXPECT_TRUE(roles.contains({FreeRtosImage::kRxStep, 0}));
+  EXPECT_TRUE(roles.contains({FreeRtosImage::kFpStep, 0}));
+  EXPECT_TRUE(roles.contains({FreeRtosImage::kFpStep, 1}));
+  for (std::uint32_t n = 0; n < FreeRtosImage::kIntegerTasks; ++n) {
+    EXPECT_TRUE(roles.contains({FreeRtosImage::kIntStep, n})) << "int" << n;
   }
 }
 

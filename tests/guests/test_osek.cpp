@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/campaign.hpp"
 #include "guests/osek_image.hpp"
 #include "util/rng.hpp"
@@ -11,10 +13,37 @@
 namespace mcs::guest::osek {
 namespace {
 
+/// Test-local task bodies: one trampoline step that runs the body
+/// declared with the task (body i is task i), so each test keeps its
+/// closures while the OS sees plain data.
+struct Bodies {
+  std::vector<std::function<void(TaskContext&)>> bodies;
+
+  static void run(void* owner, TaskContext& ctx) {
+    static_cast<Bodies*>(owner)->bodies[ctx.self](ctx);
+  }
+  static constexpr StepFn kSteps[] = {&run};
+};
+
+/// An OS running the test's own bodies.
+class TestOs : public Os {
+ public:
+  TestOs() : Os(Bodies::kSteps, &bodies_) {}
+
+  /// declare_task() running `body`.
+  TaskId declare(unsigned priority, std::function<void(TaskContext&)> body) {
+    bodies_.bodies.push_back(std::move(body));
+    return declare_task(priority, 0);
+  }
+
+ private:
+  Bodies bodies_;
+};
+
 TEST(OsekOs, ActivateAndDispatchRunToCompletion) {
-  Os os;
+  TestOs os;
   int runs = 0;
-  const TaskId t = os.declare_task("t", 1, [&](TaskContext&) { ++runs; });
+  const TaskId t = os.declare(1, [&](TaskContext&) { ++runs; });
   EXPECT_EQ(os.task_state(t), TaskState::Suspended);
   EXPECT_EQ(os.activate_task(t), Status::E_OK);
   EXPECT_EQ(os.task_state(t), TaskState::Ready);
@@ -25,12 +54,12 @@ TEST(OsekOs, ActivateAndDispatchRunToCompletion) {
 }
 
 TEST(OsekOs, PriorityOrdersDispatch) {
-  Os os;
+  TestOs os;
   std::vector<std::string> order;
-  const TaskId low = os.declare_task("low", 1, [&](TaskContext&) {
+  const TaskId low = os.declare(1, [&](TaskContext&) {
     order.push_back("low");
   });
-  const TaskId high = os.declare_task("high", 9, [&](TaskContext&) {
+  const TaskId high = os.declare(9, [&](TaskContext&) {
     order.push_back("high");
   });
   (void)os.activate_task(low);
@@ -43,8 +72,8 @@ TEST(OsekOs, PriorityOrdersDispatch) {
 }
 
 TEST(OsekOs, Bcc1ActivationLimit) {
-  Os os;
-  const TaskId t = os.declare_task("t", 1, [](TaskContext&) {});
+  TestOs os;
+  const TaskId t = os.declare(1, [](TaskContext&) {});
   EXPECT_EQ(os.activate_task(t), Status::E_OK);   // Ready
   EXPECT_EQ(os.activate_task(t), Status::E_OK);   // one queued
   EXPECT_EQ(os.activate_task(t), Status::E_OS_LIMIT);
@@ -54,17 +83,17 @@ TEST(OsekOs, Bcc1ActivationLimit) {
 }
 
 TEST(OsekOs, InvalidIdsRejected) {
-  Os os;
+  TestOs os;
   EXPECT_EQ(os.activate_task(7), Status::E_OS_ID);
   EXPECT_EQ(os.set_rel_alarm(3, 1, 1), Status::E_OS_ID);
   EXPECT_EQ(os.cancel_alarm(3), Status::E_OS_ID);
 }
 
 TEST(OsekOs, CyclicAlarmActivatesPeriodically) {
-  Os os;
+  TestOs os;
   int runs = 0;
-  const TaskId t = os.declare_task("t", 1, [&](TaskContext&) { ++runs; });
-  const AlarmId alarm = os.declare_alarm("a", t);
+  const TaskId t = os.declare(1, [&](TaskContext&) { ++runs; });
+  const AlarmId alarm = os.declare_alarm(t);
   EXPECT_EQ(os.set_rel_alarm(alarm, 5, 10), Status::E_OK);
   for (int tick = 0; tick < 35; ++tick) {
     os.on_counter_tick();
@@ -74,10 +103,10 @@ TEST(OsekOs, CyclicAlarmActivatesPeriodically) {
 }
 
 TEST(OsekOs, OneShotAlarmFiresOnce) {
-  Os os;
+  TestOs os;
   int runs = 0;
-  const TaskId t = os.declare_task("t", 1, [&](TaskContext&) { ++runs; });
-  const AlarmId alarm = os.declare_alarm("a", t);
+  const TaskId t = os.declare(1, [&](TaskContext&) { ++runs; });
+  const AlarmId alarm = os.declare_alarm(t);
   EXPECT_EQ(os.set_rel_alarm(alarm, 3, 0), Status::E_OK);
   for (int tick = 0; tick < 20; ++tick) {
     os.on_counter_tick();
@@ -87,9 +116,9 @@ TEST(OsekOs, OneShotAlarmFiresOnce) {
 }
 
 TEST(OsekOs, DoubleArmRejectedCancelWorks) {
-  Os os;
-  const TaskId t = os.declare_task("t", 1, [](TaskContext&) {});
-  const AlarmId alarm = os.declare_alarm("a", t);
+  TestOs os;
+  const TaskId t = os.declare(1, [](TaskContext&) {});
+  const AlarmId alarm = os.declare_alarm(t);
   EXPECT_EQ(os.set_rel_alarm(alarm, 5, 5), Status::E_OK);
   EXPECT_EQ(os.set_rel_alarm(alarm, 5, 5), Status::E_OS_STATE);
   EXPECT_EQ(os.cancel_alarm(alarm), Status::E_OK);
@@ -98,14 +127,14 @@ TEST(OsekOs, DoubleArmRejectedCancelWorks) {
 }
 
 TEST(OsekOs, ChainTaskActivatesNext) {
-  Os os;
+  TestOs os;
   std::vector<std::string> order;
   TaskId second = 0;
-  const TaskId first = os.declare_task("first", 2, [&](TaskContext& ctx) {
+  const TaskId first = os.declare(2, [&](TaskContext& ctx) {
     order.push_back("first");
     EXPECT_EQ(ctx.os.chain_task(ctx, second), Status::E_OK);
   });
-  second = os.declare_task("second", 1, [&](TaskContext&) {
+  second = os.declare(1, [&](TaskContext&) {
     order.push_back("second");
   });
   (void)os.activate_task(first);
@@ -115,11 +144,18 @@ TEST(OsekOs, ChainTaskActivatesNext) {
   EXPECT_EQ(order[1], "second");
 }
 
-TEST(OsekOs, FindTaskAndNames) {
-  Os os;
-  (void)os.declare_task("BrakeAcq", 4, [](TaskContext&) {});
-  EXPECT_TRUE(os.find_task("BrakeAcq").has_value());
-  EXPECT_FALSE(os.find_task("nope").has_value());
+TEST(OsekOs, TaskIdentityAndStatusNames) {
+  // A task is named by its id and step: dispatch runs the declared body.
+  TestOs os;
+  std::vector<TaskId> ran;
+  const auto record = [&](TaskContext& ctx) { ran.push_back(ctx.self); };
+  (void)os.declare(4, record);
+  const TaskId brake = os.declare(4, record);
+  EXPECT_EQ(os.task_count(), 2u);
+  EXPECT_EQ(os.activate_task(brake), Status::E_OK);
+  EXPECT_EQ(os.dispatch(), brake);
+  ASSERT_EQ(ran.size(), 1u);
+  EXPECT_EQ(ran[0], brake);
   EXPECT_EQ(status_name(Status::E_OS_LIMIT), "E_OS_LIMIT");
 }
 
@@ -127,13 +163,12 @@ TEST(OsekOs, FindTaskAndNames) {
 class OsekProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(OsekProperty, InvariantsUnderRandomActivity) {
-  Os os;
+  TestOs os;
   util::Xoshiro256 rng(GetParam());
   for (int i = 0; i < 5; ++i) {
-    (void)os.declare_task(std::string(1, 't').append(std::to_string(i)),
-                          1 + static_cast<unsigned>(i % 3), [](TaskContext&) {});
+    (void)os.declare(1 + static_cast<unsigned>(i % 3), [](TaskContext&) {});
   }
-  const AlarmId alarm = os.declare_alarm("a", 0);
+  const AlarmId alarm = os.declare_alarm(0);
   (void)os.set_rel_alarm(alarm, 2, 3);
   for (int step = 0; step < 3000; ++step) {
     switch (rng.below(3)) {

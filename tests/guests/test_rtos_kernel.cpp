@@ -4,11 +4,39 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/testbed.hpp"
 #include "util/rng.hpp"
 
 namespace mcs::guest::rtos {
 namespace {
+
+/// Test-local task bodies: one trampoline step that runs body `param`,
+/// so each test keeps its closures while the kernel sees plain data.
+struct Bodies {
+  std::vector<std::function<void(TaskContext&)>> bodies;
+
+  static void run(void* owner, TaskContext& t) {
+    static_cast<Bodies*>(owner)->bodies[t.param](t);
+  }
+  static constexpr StepFn kSteps[] = {&run};
+};
+
+/// A kernel running the test's own bodies.
+class TestKernel : public Kernel {
+ public:
+  TestKernel() : Kernel(Bodies::kSteps, &bodies_) {}
+
+  /// add_task() running `body`.
+  TaskId add(unsigned priority, std::function<void(TaskContext&)> body) {
+    bodies_.bodies.push_back(std::move(body));
+    return add_task(priority, 0, static_cast<std::uint32_t>(bodies_.bodies.size() - 1));
+  }
+
+ private:
+  Bodies bodies_;
+};
 
 /// The kernel only touches GuestContext inside task steps; tests that
 /// exercise pure scheduling use a real (but idle) testbed context.
@@ -20,7 +48,7 @@ class KernelTest : public ::testing::Test {
         testbed_.hypervisor(), testbed_.hypervisor().root_cell(), 0);
   }
 
-  Kernel kernel_;
+  TestKernel kernel_;
   fi::Testbed testbed_;
   std::unique_ptr<jh::GuestContext> ctx_;
 };
@@ -32,11 +60,11 @@ TEST_F(KernelTest, EmptyKernelHasNothingToRun) {
 
 TEST_F(KernelTest, HighestPriorityRunsFirst) {
   std::vector<std::string> order;
-  (void)kernel_.add_task("low", 1, [&](TaskContext& t) {
+  (void)kernel_.add(1, [&](TaskContext& t) {
     order.push_back("low");
     t.kernel.suspend(t.self);
   });
-  (void)kernel_.add_task("high", 5, [&](TaskContext& t) {
+  (void)kernel_.add(5, [&](TaskContext& t) {
     order.push_back("high");
     t.kernel.suspend(t.self);
   });
@@ -50,7 +78,7 @@ TEST_F(KernelTest, HighestPriorityRunsFirst) {
 TEST_F(KernelTest, EqualPriorityRoundRobins) {
   std::vector<std::string> order;
   for (const char* name : {"a", "b", "c"}) {
-    (void)kernel_.add_task(name, 2, [&order, name](TaskContext&) {
+    (void)kernel_.add(2, [&order, name](TaskContext&) {
       order.push_back(name);
     });
   }
@@ -64,7 +92,7 @@ TEST_F(KernelTest, EqualPriorityRoundRobins) {
 
 TEST_F(KernelTest, DelayBlocksUntilTick) {
   int runs = 0;
-  (void)kernel_.add_task("sleeper", 1, [&](TaskContext& t) {
+  (void)kernel_.add(1, [&](TaskContext& t) {
     ++runs;
     t.kernel.delay(t.self, 3);
   });
@@ -81,7 +109,7 @@ TEST_F(KernelTest, DelayBlocksUntilTick) {
 
 TEST_F(KernelTest, SuspendResume) {
   int runs = 0;
-  const TaskId id = kernel_.add_task("s", 1, [&](TaskContext&) { ++runs; });
+  const TaskId id = kernel_.add(1, [&](TaskContext&) { ++runs; });
   kernel_.suspend(id);
   EXPECT_EQ(kernel_.run_slice(*ctx_), std::nullopt);
   kernel_.resume(id);
@@ -92,7 +120,7 @@ TEST_F(KernelTest, SuspendResume) {
 TEST_F(KernelTest, QueueReceiveBlocksUntilData) {
   const QueueId queue = kernel_.create_queue(2);
   std::vector<std::uint32_t> received;
-  const TaskId rx = kernel_.add_task("rx", 2, [&](TaskContext& t) {
+  const TaskId rx = kernel_.add(2, [&](TaskContext& t) {
     if (const auto item = t.kernel.queue_receive(t.self, queue)) {
       received.push_back(*item);
     }
@@ -102,7 +130,7 @@ TEST_F(KernelTest, QueueReceiveBlocksUntilData) {
   EXPECT_EQ(kernel_.run_slice(*ctx_), std::nullopt);
 
   // A sender task wakes it.
-  (void)kernel_.add_task("tx", 1, [&](TaskContext& t) {
+  (void)kernel_.add(1, [&](TaskContext& t) {
     (void)t.kernel.queue_send(t.self, queue, 77);
     t.kernel.suspend(t.self);
   });
@@ -114,7 +142,7 @@ TEST_F(KernelTest, QueueReceiveBlocksUntilData) {
 
 TEST_F(KernelTest, QueueSendBlocksWhenFull) {
   const QueueId queue = kernel_.create_queue(1);
-  const TaskId tx = kernel_.add_task("tx", 1, [&](TaskContext& t) {
+  const TaskId tx = kernel_.add(1, [&](TaskContext& t) {
     (void)t.kernel.queue_send(t.self, queue, 1);
   });
   (void)kernel_.run_slice(*ctx_);  // fills the queue
@@ -122,7 +150,7 @@ TEST_F(KernelTest, QueueSendBlocksWhenFull) {
   EXPECT_EQ(kernel_.task(tx).state, TaskState::BlockedOnQueue);
   EXPECT_TRUE(kernel_.task(tx).waiting_for_space);
   // Draining the queue wakes the sender.
-  (void)kernel_.add_task("rx", 3, [&](TaskContext& t) {
+  (void)kernel_.add(3, [&](TaskContext& t) {
     (void)t.kernel.queue_receive(t.self, queue);
     t.kernel.suspend(t.self);
   });
@@ -130,14 +158,20 @@ TEST_F(KernelTest, QueueSendBlocksWhenFull) {
   EXPECT_EQ(kernel_.task(tx).state, TaskState::Ready);
 }
 
-TEST_F(KernelTest, FindTaskByName) {
-  (void)kernel_.add_task("blink", 3, [](TaskContext&) {});
-  ASSERT_TRUE(kernel_.find_task("blink").has_value());
-  EXPECT_FALSE(kernel_.find_task("nope").has_value());
+TEST_F(KernelTest, TaskIdentityIsStepAndParam) {
+  // A task is named by (step, param) in its state record.
+  const TaskId blink = kernel_.add(3, [](TaskContext&) {});
+  const TaskId other = kernel_.add(2, [](TaskContext&) {});
+  EXPECT_EQ(kernel_.task_count(), 2u);
+  EXPECT_EQ(kernel_.task(blink).step, 0u);
+  EXPECT_EQ(kernel_.task(blink).param, 0u);
+  EXPECT_EQ(kernel_.task(blink).priority, 3u);
+  EXPECT_EQ(kernel_.task(other).step, 0u);
+  EXPECT_EQ(kernel_.task(other).param, 1u);
 }
 
 TEST_F(KernelTest, DispatchCountersAccumulate) {
-  (void)kernel_.add_task("t", 1, [](TaskContext&) {});
+  (void)kernel_.add(1, [](TaskContext&) {});
   for (int i = 0; i < 5; ++i) (void)kernel_.run_slice(*ctx_);
   EXPECT_EQ(kernel_.dispatches(), 5u);
   EXPECT_EQ(kernel_.task(0).dispatches, 5u);
@@ -152,12 +186,11 @@ TEST_P(KernelProperty, InvariantsHoldUnderRandomActivity) {
   ASSERT_TRUE(testbed.enable_hypervisor().is_ok());
   jh::GuestContext ctx(testbed.hypervisor(), testbed.hypervisor().root_cell(), 0);
 
-  Kernel kernel;
+  TestKernel kernel;
   util::Xoshiro256 rng(GetParam());
   const QueueId queue = kernel.create_queue(4);
   for (int i = 0; i < 6; ++i) {
-    (void)kernel.add_task(
-        std::string(1, 't').append(std::to_string(i)),
+    (void)kernel.add(
         1 + static_cast<unsigned>(i % 3),
         [&rng, queue](TaskContext& t) {
           switch (rng.below(4)) {

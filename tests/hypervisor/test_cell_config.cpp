@@ -73,6 +73,33 @@ TEST(CellConfig, ZeroSizedRegionRejected) {
   EXPECT_EQ(config.validate(2).code(), util::Code::EInval);
 }
 
+TEST(CellConfig, RegionWrappingPastTheAddressSpaceRejected) {
+  // start + size must not wrap past 2^64 in either space; a wrapped end
+  // would slip through the root-coverage check at create.
+  CellConfig config = make_freertos_cell_config();
+  mem::MemRegion& ram = config.mem_regions.front();
+  ASSERT_EQ(ram.name, "ram");
+  ram.size = UINT64_MAX;
+  EXPECT_EQ(config.validate(2).code(), util::Code::EInval);
+
+  CellConfig virt = make_freertos_cell_config();
+  mem::MemRegion high;
+  high.name = "high";
+  high.phys_start = 0x1000;
+  high.virt_start = 0xFFFF'FFFF'FFFF'F000;
+  high.size = 0x2000;
+  virt.mem_regions.push_back(high);
+  EXPECT_EQ(virt.validate(2).code(), util::Code::EInval);
+
+  high.size = 0x1000;  // ends exactly at the top: still not representable
+  virt.mem_regions.back() = high;
+  EXPECT_EQ(virt.validate(2).code(), util::Code::EInval);
+
+  high.size = 0xFFF;
+  virt.mem_regions.back() = high;
+  EXPECT_TRUE(virt.validate(2).is_ok());
+}
+
 TEST(CellConfig, NonSpiIrqRejected) {
   CellConfig config = make_freertos_cell_config();
   config.irqs.push_back(27);  // a PPI is not assignable
