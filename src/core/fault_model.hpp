@@ -159,6 +159,8 @@ enum class FaultModelKind : std::uint8_t {
   RandomMultiFlip,
 };
 
+inline constexpr std::size_t kNumFaultModelKinds = 6;
+
 [[nodiscard]] std::string_view fault_model_kind_name(FaultModelKind kind) noexcept;
 
 /// Factory: kind + optional register restriction → model instance.

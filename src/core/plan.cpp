@@ -2,14 +2,6 @@
 
 namespace mcs::fi {
 
-std::string_view intensity_name(Intensity intensity) noexcept {
-  switch (intensity) {
-    case Intensity::Medium: return "medium";
-    case Intensity::High: return "high";
-  }
-  return "?";
-}
-
 TestPlan paper_medium_trap_plan() {
   TestPlan plan;
   plan.name = "medium/non-root/arch_handle_trap";

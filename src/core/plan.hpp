@@ -20,11 +20,6 @@
 
 namespace mcs::fi {
 
-/// Paper intensity presets.
-enum class Intensity : std::uint8_t { Medium, High };
-
-[[nodiscard]] std::string_view intensity_name(Intensity intensity) noexcept;
-
 inline constexpr std::uint32_t kMediumRate = 100;  ///< 1 injection / 100 calls
 inline constexpr std::uint32_t kHighRate = 50;     ///< 1 injection / 50 calls
 inline constexpr std::uint64_t kOneMinuteTicks = 60'000;

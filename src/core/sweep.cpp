@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -12,6 +13,7 @@
 #include "analysis/log_parser.hpp"
 #include "core/scenario.hpp"
 #include "hypervisor/config_text.hpp"
+#include "platform/board_registry.hpp"
 #include "util/logpipe_counters.hpp"
 #include "util/mapped_file.hpp"
 #include "util/rng.hpp"
@@ -22,63 +24,302 @@ namespace mcs::fi {
 
 namespace {
 
-/// "scenario_rN[_board][_domain]": unique per grid cell (the spec parser
-/// rejects duplicated axis values), filesystem-safe for registry-style
-/// keys. Cells without a board/domain axis keep the historical id, so
-/// pre-refactor logdirs still resume.
-std::string cell_id(const std::string& scenario, std::uint32_t rate,
-                    const std::string& board, const std::string& domain) {
-  std::string id = scenario + "_r" + std::to_string(rate);
-  if (!board.empty()) id += "_" + board;
-  if (!domain.empty()) id += "_" + domain;
-  return id;
+// --- the grid axes -----------------------------------------------------------
+// Every axis is one row of kAxes: the spec keyword, how it names a cell,
+// where SweepSpec keeps its values, and how one value lands on a cell's
+// plan. The parser, the renderer, validate_grid, the cell ids and
+// expand() all walk this table, so an axis is declared exactly once.
+
+/// Where SweepSpec keeps an axis's values, seen as spec text.
+struct AxisField {
+  std::size_t (*size)(const SweepSpec&);
+  std::string (*value)(const SweepSpec&, std::size_t);
+  void (*add)(SweepSpec&, std::string);  ///< takes canonical text
+};
+
+template <std::vector<std::string> SweepSpec::*Field>
+constexpr AxisField kTextField{
+    [](const SweepSpec& spec) { return (spec.*Field).size(); },
+    [](const SweepSpec& spec, std::size_t i) { return (spec.*Field)[i]; },
+    [](SweepSpec& spec, std::string value) {
+      (spec.*Field).push_back(std::move(value));
+    }};
+
+constexpr AxisField kRateField{
+    [](const SweepSpec& spec) { return spec.rates.size(); },
+    [](const SweepSpec& spec, std::size_t i) {
+      return std::to_string(spec.rates[i]);
+    },
+    [](SweepSpec& spec, std::string value) {
+      spec.rates.push_back(static_cast<std::uint32_t>(std::stoul(value)));
+    }};
+
+struct Axis {
+  std::string_view key;     ///< spec keyword, and its noun in diagnostics
+  std::string_view id_tag;  ///< cell-id text before each value
+  bool required;            ///< no value → no grid (scenario, rate)
+  bool always_named;        ///< a single value still names the cell (the
+                            ///< original four axes: their ids are stable)
+  AxisField field;
+  /// Put one value on a cell's plan; EINVAL for a value it cannot take.
+  util::Status (*set)(TestPlan&, std::string_view);
+  /// The canonical text of the value `set` put on the plan. nullptr for
+  /// registry keys: stored verbatim, resolved by expand() once every
+  /// scenario and board is registered.
+  std::string (*text)(const TestPlan&);
+};
+
+util::Status bad_value(std::string_view key, std::string_view value,
+                       std::string_view need) {
+  return util::invalid_argument("bad " + std::string(key) + " '" +
+                                std::string(value) + "' (need " +
+                                std::string(need) + ")");
 }
 
-template <typename T>
-bool has_duplicates(std::vector<T> values) {
-  std::sort(values.begin(), values.end());
-  return std::adjacent_find(values.begin(), values.end()) != values.end();
+util::Status unknown(std::string_view what, std::string_view value) {
+  return util::invalid_argument("unknown " + std::string(what) + " '" +
+                                std::string(value) + "'");
+}
+
+/// `text` as a config number within [min, max].
+bool number_in(std::string_view text, std::uint64_t min, std::uint64_t max,
+               std::uint64_t& out) {
+  const auto value = jh::parse_config_number(text);
+  if (!value.is_ok() || value.value() < min || value.value() > max) {
+    return false;
+  }
+  out = value.value();
+  return true;
+}
+
+/// The enumerator of the first `count` whose name is `text`.
+template <typename Enum>
+bool enum_named(std::string_view text, std::size_t count,
+                std::string_view (*name_of)(Enum) noexcept, Enum& out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    if (name_of(static_cast<Enum>(i)) == text) {
+      out = static_cast<Enum>(i);
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The board axis and the fault-domain axis ride the tuning vocabulary,
+/// appended last so they override the shared tuning's own lines.
+void append_tuning(TestPlan& plan, const std::string& line) {
+  if (!plan.cell_tuning.empty()) plan.cell_tuning += '\n';
+  plan.cell_tuning += line;
+}
+
+/// The most CPUs any registered board has: the bound a `cpu` value must
+/// meet before its cell, and so its board, is known.
+int max_board_cpus() {
+  int cpus = 0;
+  for (const std::string& name : platform::BoardRegistry::instance().names()) {
+    const platform::BoardSpec* board = platform::find_board_spec(name);
+    if (board != nullptr) cpus = std::max(cpus, board->num_cpus);
+  }
+  return cpus;
+}
+
+util::Status set_scenario(TestPlan& plan, std::string_view value) {
+  ScenarioRegistry::MakeOptions options;
+  options.cell_tuning = plan.cell_tuning;
+  auto made = ScenarioRegistry::instance().make(value, options);
+  if (!made.is_ok()) return made.status();
+  plan = std::move(made).value();
+  return util::ok_status();
+}
+
+util::Status set_rate(TestPlan& plan, std::string_view value) {
+  std::uint64_t rate = 0;
+  if (!number_in(value, 1, UINT32_MAX, rate)) {
+    return bad_value("rate", value, "a call count ≥ 1");
+  }
+  plan.rate = static_cast<std::uint32_t>(rate);
+  return util::ok_status();
+}
+
+util::Status set_board(TestPlan& plan, std::string_view value) {
+  if (platform::find_board_spec(value) == nullptr) {
+    return unknown("board", value);
+  }
+  plan.board = std::string(value);
+  append_tuning(plan, "board " + plan.board);
+  return util::ok_status();
+}
+
+util::Status set_domain(TestPlan& plan, std::string_view value) {
+  if (!fault_domain_from_name(value, plan.fault_domain)) {
+    return unknown("fault domain", value);
+  }
+  append_tuning(plan, "fault domain " + std::string(value));
+  return util::ok_status();
+}
+
+util::Status set_target(TestPlan& plan, std::string_view value) {
+  if (!enum_named(value, jh::kNumHookPoints, jh::hook_point_name,
+                  plan.target)) {
+    return unknown("target", value);
+  }
+  return util::ok_status();
+}
+
+util::Status set_fault(TestPlan& plan, std::string_view value) {
+  if (!enum_named(value, kNumFaultModelKinds, fault_model_kind_name,
+                  plan.fault)) {
+    return unknown("fault model", value);
+  }
+  return util::ok_status();
+}
+
+util::Status set_register(TestPlan& plan, std::string_view value) {
+  arch::Reg reg{};
+  if (!enum_named(value, arch::kNumGeneralRegs, arch::reg_name, reg)) {
+    return unknown("register", value);
+  }
+  plan.fault_registers = {reg};
+  return util::ok_status();
+}
+
+util::Status set_count(TestPlan& plan, std::string_view value) {
+  std::uint64_t count = 0;
+  if (!number_in(value, 1, arch::kNumGeneralRegs, count)) {
+    return bad_value("count", value, "1.." +
+                                         std::to_string(arch::kNumGeneralRegs) +
+                                         " registers");
+  }
+  plan.fault_count = static_cast<unsigned>(count);
+  return util::ok_status();
+}
+
+util::Status set_phase(TestPlan& plan, std::string_view value) {
+  // 32-bit like rate: the injector counts calls in the same width.
+  if (!number_in(value, 0, UINT32_MAX, plan.phase)) {
+    return bad_value("phase", value, "a call index ≤ 4294967295");
+  }
+  return util::ok_status();
+}
+
+util::Status set_cpu(TestPlan& plan, std::string_view value) {
+  if (value == "any") {
+    plan.cpu_filter = -1;
+    return util::ok_status();
+  }
+  const platform::BoardSpec* board = platform::find_board_spec(plan.board);
+  const int cpus = board != nullptr ? board->num_cpus : max_board_cpus();
+  std::uint64_t cpu = 0;
+  if (cpus < 1 || !number_in(value, 0, static_cast<std::uint64_t>(cpus - 1),
+                             cpu)) {
+    return bad_value("cpu", value,
+                     "any or 0.." + std::to_string(cpus - 1) +
+                         (board != nullptr ? " on board " + plan.board : ""));
+  }
+  plan.cpu_filter = static_cast<int>(cpu);
+  return util::ok_status();
+}
+
+// Grid order is table order: scenario-major, the last axis fastest. The
+// plan-field axes nest inside domain, so a spec without them expands to
+// the same cells, ids and seeds as before they existed. A cell's values
+// are set in table order too: scenario builds the plan the others refine,
+// and cpu is checked against the board already set.
+constexpr std::array<Axis, 10> kAxes{{
+    {"scenario", "", true, true, kTextField<&SweepSpec::scenarios>,
+     set_scenario, nullptr},
+    {"rate", "_r", true, true, kRateField, set_rate,
+     [](const TestPlan& plan) { return std::to_string(plan.rate); }},
+    {"board", "_", false, true, kTextField<&SweepSpec::boards>, set_board,
+     nullptr},
+    {"domain", "_", false, true, kTextField<&SweepSpec::domains>, set_domain,
+     [](const TestPlan& plan) {
+       return std::string(fault_domain_name(plan.fault_domain));
+     }},
+    {"target", "_", false, false, kTextField<&SweepSpec::targets>, set_target,
+     [](const TestPlan& plan) {
+       return std::string(jh::hook_point_name(plan.target));
+     }},
+    {"fault", "_", false, false, kTextField<&SweepSpec::faults>, set_fault,
+     [](const TestPlan& plan) {
+       return std::string(fault_model_kind_name(plan.fault));
+     }},
+    {"register", "_reg-", false, false, kTextField<&SweepSpec::registers>,
+     set_register,
+     [](const TestPlan& plan) {
+       return std::string(arch::reg_name(plan.fault_registers.front()));
+     }},
+    {"count", "_k", false, false, kTextField<&SweepSpec::counts>, set_count,
+     [](const TestPlan& plan) { return std::to_string(plan.fault_count); }},
+    {"phase", "_p", false, false, kTextField<&SweepSpec::phases>, set_phase,
+     [](const TestPlan& plan) { return std::to_string(plan.phase); }},
+    {"cpu", "_cpu", false, false, kTextField<&SweepSpec::cpus>, set_cpu,
+     [](const TestPlan& plan) {
+       return plan.cpu_filter < 0 ? std::string("any")
+                                  : std::to_string(plan.cpu_filter);
+     }},
+}};
+
+/// A spec-file token as the canonical text its axis stores: checked on a
+/// scratch plan that belongs to no cell yet, so `cpu` is bounded by the
+/// largest board. Registry keys pass through for expand() to resolve.
+util::Expected<std::string> canonical_text(const Axis& axis,
+                                           std::string_view token) {
+  if (axis.text == nullptr) return std::string(token);
+  TestPlan scratch;
+  scratch.board.clear();
+  const util::Status set = axis.set(scratch, token);
+  if (!set.is_ok()) return set;
+  return axis.text(scratch);
 }
 
 /// Grid-level validation shared by the spec parser and expand(): a spec
-/// assembled from CLI flags must obey the same rules as a parsed one —
-/// in particular no duplicated axis values, which would alias cell ids
-/// (and therefore log files), making resume report one cell's data as
-/// another's.
+/// assembled from CLI flags or code must obey the same rules as a parsed
+/// one — in particular no empty or duplicated axis values, which would
+/// drop an axis from a cell's id or alias two cells' ids (and therefore
+/// log files), making resume report one cell's data as another's.
 util::Status validate_grid(const SweepSpec& spec) {
-  if (spec.scenarios.empty()) {
-    return util::invalid_argument("sweep spec names no scenario");
-  }
-  if (spec.rates.empty()) {
-    return util::invalid_argument("sweep spec names no rate");
+  for (const Axis& axis : kAxes) {
+    const std::size_t size = axis.field.size(spec);
+    if (axis.required && size == 0) {
+      return util::invalid_argument("sweep spec names no " +
+                                    std::string(axis.key));
+    }
+    std::vector<std::string> values;
+    for (std::size_t i = 0; i < size; ++i) {
+      values.push_back(axis.field.value(spec, i));
+      if (values.back().empty()) {
+        return util::invalid_argument("empty " + std::string(axis.key) +
+                                      " in sweep spec");
+      }
+    }
+    std::sort(values.begin(), values.end());
+    if (std::adjacent_find(values.begin(), values.end()) != values.end()) {
+      return util::invalid_argument("duplicate " + std::string(axis.key) +
+                                    " in sweep spec");
+    }
   }
   if (spec.runs == 0) {
     return util::invalid_argument("sweep needs runs ≥ 1");
-  }
-  for (const std::uint32_t rate : spec.rates) {
-    if (rate == 0) return util::invalid_argument("sweep rate must be ≥ 1");
   }
   // The window closes at now + duration: the 32-bit bound runs and rates
   // share keeps that sum from wrapping (or never arriving).
   if (spec.duration_ticks > UINT32_MAX) {
     return util::invalid_argument("sweep duration must be ≤ 4294967295 ticks");
   }
-  if (has_duplicates(spec.scenarios)) {
-    return util::invalid_argument("duplicate scenario in sweep spec");
-  }
-  if (has_duplicates(spec.rates)) {
-    return util::invalid_argument("duplicate rate in sweep spec");
-  }
-  if (has_duplicates(spec.boards)) {
-    return util::invalid_argument("duplicate board in sweep spec");
-  }
-  if (has_duplicates(spec.domains)) {
-    return util::invalid_argument("duplicate domain in sweep spec");
-  }
   return util::ok_status();
 }
 
 }  // namespace
+
+std::size_t SweepSpec::cell_count() const noexcept {
+  std::size_t cells = 1;
+  for (const Axis& axis : kAxes) {
+    const std::size_t size = axis.field.size(*this);
+    cells *= size == 0 && !axis.required ? 1 : size;
+  }
+  return cells;
+}
 
 std::string plan_fingerprint(const TestPlan& plan) {
   std::string tuning = plan.cell_tuning;
@@ -235,19 +476,13 @@ util::Expected<analysis::CampaignAggregate> execute_cell(
 std::string render_sweep_spec(const SweepSpec& spec) {
   std::ostringstream out;
   out << "sweep \"" << spec.name << "\"\n";
-  out << "scenario";
-  for (const std::string& scenario : spec.scenarios) out << ' ' << scenario;
-  out << "\nrate";
-  for (const std::uint32_t rate : spec.rates) out << ' ' << rate;
-  out << "\n";
-  if (!spec.boards.empty()) {
-    out << "board";
-    for (const std::string& board : spec.boards) out << ' ' << board;
-    out << "\n";
-  }
-  if (!spec.domains.empty()) {
-    out << "domain";
-    for (const std::string& domain : spec.domains) out << ' ' << domain;
+  for (const Axis& axis : kAxes) {
+    const std::size_t size = axis.field.size(spec);
+    if (size == 0 && !axis.required) continue;
+    out << axis.key;
+    for (std::size_t i = 0; i < size; ++i) {
+      out << ' ' << axis.field.value(spec, i);
+    }
     out << "\n";
   }
   out << "runs " << spec.runs << "\n"
@@ -289,27 +524,22 @@ util::Expected<SweepSpec> parse_sweep_spec(std::string_view text) {
         return fail("sweep name must be quoted");
       }
       spec.name = std::string(rest.substr(open + 1, close - open - 1));
-    } else if (keyword == "scenario" || keyword == "board" ||
-               keyword == "domain") {
-      if (rest.empty()) return fail(std::string(keyword) + " needs a key");
-      auto& axis = keyword == "scenario" ? spec.scenarios
-                   : keyword == "board"  ? spec.boards
-                                         : spec.domains;
-      for (const std::string& token : util::split(rest, ' ')) {
-        if (!util::trim(token).empty()) {
-          axis.emplace_back(util::trim(token));
-        }
-      }
-    } else if (keyword == "rate") {
-      if (rest.empty()) return fail("rate needs a value");
+    } else if (const auto axis = std::find_if(
+                   kAxes.begin(), kAxes.end(),
+                   [keyword](const Axis& a) { return a.key == keyword; });
+               axis != kAxes.end()) {
+      if (rest.empty()) return fail(std::string(keyword) + " needs a value");
       for (const std::string& token : util::split(rest, ' ')) {
         if (util::trim(token).empty()) continue;
-        auto value = jh::parse_config_number(util::trim(token));
-        if (!value.is_ok() || value.value() == 0 ||
-            value.value() > UINT32_MAX) {
-          return fail("bad rate '" + token + "' (need a call count ≥ 1)");
+        auto text = canonical_text(*axis, util::trim(token));
+        if (!text.is_ok()) return fail(text.status().message());
+        for (std::size_t i = 0; i < axis->field.size(spec); ++i) {
+          if (axis->field.value(spec, i) == text.value()) {
+            return fail("duplicate " + std::string(keyword) + " '" +
+                        text.value() + "'");
+          }
         }
-        spec.rates.push_back(static_cast<std::uint32_t>(value.value()));
+        axis->field.add(spec, std::move(text).value());
       }
     } else if (keyword == "runs") {
       auto value = jh::parse_config_number(rest);
@@ -359,53 +589,51 @@ util::Expected<std::vector<TestPlan>> SweepDriver::expand() const {
   const util::Status valid = validate_grid(spec_);
   if (!valid.is_ok()) return valid;
 
-  // No board/domain axis → one pass with the scenario/tuning default.
-  const std::vector<std::string> boards =
-      spec_.boards.empty() ? std::vector<std::string>{""} : spec_.boards;
-  const std::vector<std::string> domains =
-      spec_.domains.empty() ? std::vector<std::string>{""} : spec_.domains;
+  // An absent axis is one pass with no value: no id text, no setting.
+  std::array<std::vector<std::string>, kAxes.size()> values;
+  for (std::size_t a = 0; a < kAxes.size(); ++a) {
+    for (std::size_t i = 0; i < kAxes[a].field.size(spec_); ++i) {
+      values[a].push_back(kAxes[a].field.value(spec_, i));
+    }
+    if (values[a].empty()) values[a].emplace_back();
+  }
 
-  ScenarioRegistry& registry = ScenarioRegistry::instance();
+  const std::size_t cells = spec_.cell_count();
   std::vector<TestPlan> plans;
-  plans.reserve(spec_.cell_count());
+  plans.reserve(cells);
   // One serial seed expansion over the full grid, in grid order: a cell's
   // seed depends only on its grid position, never on which cells execute.
   util::SplitMix64 seeder(spec_.seed);
-  for (const std::string& scenario : spec_.scenarios) {
-    for (const std::uint32_t rate : spec_.rates) {
-      for (const std::string& board : boards) {
-        for (const std::string& domain : domains) {
-          ScenarioRegistry::MakeOptions options;
-          options.cell_tuning = spec_.cell_tuning;
-          if (!board.empty()) {
-            // The board axis rides the tuning vocabulary; appended last
-            // so it overrides any `board` line in the shared tuning.
-            if (!options.cell_tuning.empty()) options.cell_tuning += '\n';
-            options.cell_tuning += "board " + board;
-          }
-          if (!domain.empty()) {
-            // The fault-domain axis rides the same vocabulary.
-            if (!options.cell_tuning.empty()) options.cell_tuning += '\n';
-            options.cell_tuning += "fault domain " + domain;
-          }
-          auto made = registry.make(scenario, options);
-          if (!made.is_ok()) {
-            return util::invalid_argument(
-                "cell " + cell_id(scenario, rate, board, domain) + ": " +
-                made.status().message());
-          }
-          TestPlan plan = std::move(made).value();
-          plan.name = cell_id(scenario, rate, board, domain);
-          plan.rate = rate;
-          plan.runs = spec_.runs;
-          plan.seed = seeder.next();
-          if (spec_.duration_ticks != 0) {
-            plan.duration_ticks = spec_.duration_ticks;
-          }
-          plans.push_back(std::move(plan));
-        }
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    // Mixed-radix digits of the cell index, the last axis fastest.
+    std::array<const std::string*, kAxes.size()> at{};
+    std::size_t rest = cell;
+    for (std::size_t a = kAxes.size(); a-- > 0;) {
+      at[a] = &values[a][rest % values[a].size()];
+      rest /= values[a].size();
+    }
+    // "scenario_rN[_board][_domain]…": unique per grid cell, and
+    // filesystem-safe since every value is a registry key or checked.
+    std::string id;
+    for (std::size_t a = 0; a < kAxes.size(); ++a) {
+      if (!at[a]->empty() && (kAxes[a].always_named || values[a].size() > 1)) {
+        id += std::string(kAxes[a].id_tag) + *at[a];
       }
     }
+    TestPlan plan;
+    plan.cell_tuning = spec_.cell_tuning;
+    for (std::size_t a = 0; a < kAxes.size(); ++a) {
+      if (at[a]->empty()) continue;
+      const util::Status set = kAxes[a].set(plan, *at[a]);
+      if (!set.is_ok()) {
+        return util::invalid_argument("cell " + id + ": " + set.message());
+      }
+    }
+    plan.name = std::move(id);
+    plan.runs = spec_.runs;
+    plan.seed = seeder.next();
+    if (spec_.duration_ticks != 0) plan.duration_ticks = spec_.duration_ticks;
+    plans.push_back(std::move(plan));
   }
   return plans;
 }

@@ -10,7 +10,8 @@
 // renders side by side.
 //
 // Determinism: expansion always enumerates the full grid in one fixed
-// order (scenario-major, then rate, then board) and deals per-cell seeds
+// order (scenario-major, then rate, board, domain and the plan-field
+// axes, in the order SweepSpec declares them) and deals per-cell seeds
 // from one serial SplitMix64 expansion of the base seed — so a cell's
 // plan, and therefore its runs, depend only on the spec, never on which
 // cells happen to execute or resume. With per-cell logs persisted, an
@@ -45,17 +46,23 @@ struct SweepSpec {
                                          ///< scenario default, no board axis
   std::vector<std::string> domains;      ///< fi::FaultDomain names; empty →
                                          ///< the scenario default, no axis
+  // TestPlan-field axes, as spec text; empty → the scenario's plan value,
+  // no axis. A single value sets the field without naming the cell.
+  std::vector<std::string> targets;      ///< jh::hook_point_name values
+  std::vector<std::string> faults;       ///< fault_model_kind_name values
+  std::vector<std::string> registers;    ///< arch::reg_name values; each
+                                         ///< cell flips only that register
+  std::vector<std::string> counts;       ///< registers per injection, 1..16
+  std::vector<std::string> phases;       ///< first-injection call, 0 → rate
+  std::vector<std::string> cpus;         ///< CPU filter: a CPU or "any"
   std::uint32_t runs = 8;                ///< runs per grid cell
   std::uint64_t seed = 0xC0FFEE;         ///< base seed; cells derive from it
   std::uint64_t duration_ticks = 0;      ///< 0 → the scenario/plan default
   std::string cell_tuning;               ///< applied to every cell (validated)
   std::string log_dir;  ///< per-cell run logs + resume; empty → in-memory only
 
-  [[nodiscard]] std::size_t cell_count() const noexcept {
-    return scenarios.size() * rates.size() *
-           (boards.empty() ? 1 : boards.size()) *
-           (domains.empty() ? 1 : domains.size());
-  }
+  /// The product of the axis sizes; an absent optional axis counts once.
+  [[nodiscard]] std::size_t cell_count() const noexcept;
 };
 
 /// Parse a sweep spec from config text, same conventions as
@@ -66,14 +73,22 @@ struct SweepSpec {
 ///   rate 100 50
 ///   board bananapi quad-a7             # optional axis
 ///   domain register gic dram           # optional fault-domain axis
+///   target arch_handle_trap            # optional TestPlan-field axes:
+///   fault random-multi-flip            #   fault model
+///   register r0 r12 sp                 #   the one register flipped
+///   count 1 2 3                        #   registers per injection
+///   phase 1                            #   call index of the 1st injection
+///   cpu 1                              #   CPU filter, or `any`
 ///   runs 8
 ///   seed 0xC0FFEE
 ///   duration 60000
 ///   tuning ram 0x200000; console trapped   # ';' separates tuning lines
 ///   logdir sweep-logs
 ///
-/// EINVAL with a line-numbered message on malformed input, duplicated
-/// axis values (they would alias per-cell log files) or an empty grid.
+/// EINVAL with a line-numbered message on malformed input, an unknown
+/// name or out-of-range number on a plan-field axis, duplicated axis
+/// values (they would alias per-cell log files) or an empty grid.
+/// Scenario and board keys are resolved by SweepDriver::expand().
 [[nodiscard]] util::Expected<SweepSpec> parse_sweep_spec(std::string_view text);
 
 // --- shared cell-persistence primitives -------------------------------------
@@ -134,7 +149,7 @@ struct SweepSpec {
 
 /// One executed (or resumed) grid cell.
 struct SweepCellResult {
-  std::string id;        ///< "scenario_rN[_board]" — also the log file stem
+  std::string id;        ///< "scenario_rN[_board]…" — also the log file stem
   TestPlan plan;         ///< the fully expanded plan the cell ran with
   std::string log_path;  ///< persisted run log; empty when not persisted
   analysis::CampaignAggregate aggregate;
@@ -158,8 +173,9 @@ class SweepDriver {
   void set_cell_progress(CellProgressFn fn) { cell_progress_ = std::move(fn); }
 
   /// The grid as ready-to-execute TestPlans, in the fixed grid order,
-  /// seeds dealt. EINVAL on an invalid spec (empty axis, unknown
-  /// scenario/board key, malformed tuning).
+  /// seeds dealt. EINVAL on an invalid spec (empty axis, duplicated
+  /// value); a value no cell can take (unknown key or name, malformed
+  /// tuning, a CPU the cell's board lacks) names the cell.
   [[nodiscard]] util::Expected<std::vector<TestPlan>> expand() const;
 
   /// Execute the sweep: resume completed cells from their persisted logs

@@ -37,7 +37,8 @@ void OsekImage::declare_workload() {
   const osek::TaskId frame = os_.declare_task(3, kFrameTxStep);
   // 100 ms alive supervision: the classical external-watchdog kick.
   const osek::TaskId wdg = os_.declare_task(2, kWdgKickStep);
-  // Idle-level self-test task, chained from the watchdog every 10th kick.
+  // Idle-level self-test task: declared (so it counts in the task table)
+  // but never activated — no alarm and no chain reaches it.
   (void)os_.declare_task(1, kSelfTestStep);
 
   (void)os_.set_rel_alarm(os_.declare_alarm(brake), 10, 10);

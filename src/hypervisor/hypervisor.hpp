@@ -49,6 +49,8 @@ enum class HookPoint : std::uint8_t {
   ArchHandleHvc,
 };
 
+inline constexpr std::size_t kNumHookPoints = 3;
+
 [[nodiscard]] std::string_view hook_point_name(HookPoint point) noexcept;
 
 /// GIC distributor window the hypervisor traps and virtualises (A20 GIC).

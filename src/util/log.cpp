@@ -16,7 +16,6 @@ std::string_view severity_name(Severity severity) noexcept {
 }
 
 void EventLog::append(LogRecord record) {
-  if (mirror_) mirror_(record);
   records_.push_back(std::move(record));
 }
 

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,12 +27,9 @@ struct LogRecord {
   bool operator==(const LogRecord&) const = default;
 };
 
-/// Append-only in-memory log with optional mirroring to a callback (used by
-/// the campaign orchestrator to stream records into the run log file).
+/// Append-only in-memory log.
 class EventLog {
  public:
-  using Mirror = std::function<void(const LogRecord&)>;
-
   void append(LogRecord record);
 
   void log(Ticks now, Severity severity, std::string component, int cpu,
@@ -56,14 +52,11 @@ class EventLog {
   /// True iff any record from `component` contains `needle`.
   [[nodiscard]] bool contains(std::string_view component, std::string_view needle) const;
 
-  void set_mirror(Mirror mirror) { mirror_ = std::move(mirror); }
-
   /// Render the whole log as the text file the paper's framework writes.
   [[nodiscard]] std::string to_text() const;
 
  private:
   std::vector<LogRecord> records_;
-  Mirror mirror_;
 };
 
 }  // namespace mcs::util

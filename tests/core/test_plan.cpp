@@ -54,11 +54,6 @@ TEST(Plan, FirstInjectionCallDefaultsToRate) {
   EXPECT_EQ(plan.first_injection_call(), 7u);
 }
 
-TEST(Plan, IntensityNames) {
-  EXPECT_EQ(intensity_name(Intensity::Medium), "medium");
-  EXPECT_EQ(intensity_name(Intensity::High), "high");
-}
-
 TEST(Plan, PaperRateConstants) {
   EXPECT_EQ(kMediumRate, 100u);
   EXPECT_EQ(kHighRate, 50u);

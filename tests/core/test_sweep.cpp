@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "core/scenario.hpp"
+#include "scratch_path.hpp"
 
 namespace mcs::fi {
 namespace {
@@ -88,6 +89,54 @@ TEST(SweepSpec, RejectsMalformedInput) {
   EXPECT_TRUE(parse_sweep_spec("scenario freertos-steady\nrate 100\n"
                                "duration 4294967295\n")
                   .is_ok());
+  // The fault-domain and TestPlan-field axes: an unknown name, a
+  // duplicate (also when spelled differently), a number out of range or
+  // no value at all is refused on the line that carries it. No board has
+  // a fifth CPU, so `cpu 4` is refused before any cell exists.
+  for (const char* line :
+       {"domain nope", "target nope", "target arch_handle_hvc arch_handle_hvc",
+        "fault nope", "fault stuck-at-one stuck-at-one", "register r99",
+        "register R0", "register r0 r0", "count 0", "count 17", "count x",
+        "count 3 0x3", "phase 4294967296", "phase -1", "phase 1 1", "cpu 4",
+        "cpu -1", "cpu anything", "cpu any any", "cpu 1 0x1", "target",
+        "cpu"}) {
+    const auto parsed = parse_sweep_spec(
+        "scenario freertos-steady\nrate 100\n" + std::string(line) + "\n");
+    ASSERT_FALSE(parsed.is_ok()) << line;
+    EXPECT_EQ(parsed.status().code(), util::Code::EInval) << line;
+    EXPECT_NE(parsed.status().message().find("line 3: "), std::string::npos)
+        << line << " → " << parsed.status().message();
+  }
+  EXPECT_TRUE(parse_sweep_spec("scenario freertos-steady\nrate 100\n"
+                               "count 1 16\nphase 0 4294967295\ncpu any 3\n")
+                  .is_ok());
+}
+
+TEST(SweepSpec, ParsesThePlanFieldAxesAsCanonicalText) {
+  auto parsed = parse_sweep_spec(
+      "scenario freertos-steady\n"
+      "rate 100\n"
+      "target arch_handle_hvc arch_handle_trap\n"
+      "fault random-multi-flip\n"
+      "register r3\n"
+      "register sp\n"
+      "count 0x2\n"
+      "phase 1\n"
+      "cpu any\n");
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  const SweepSpec& spec = parsed.value();
+  EXPECT_EQ(spec.targets, (std::vector<std::string>{"arch_handle_hvc",
+                                                     "arch_handle_trap"}));
+  EXPECT_EQ(spec.faults, std::vector<std::string>{"random-multi-flip"});
+  EXPECT_EQ(spec.registers, (std::vector<std::string>{"r3", "sp"}));
+  EXPECT_EQ(spec.counts, std::vector<std::string>{"2"});
+  EXPECT_EQ(spec.phases, std::vector<std::string>{"1"});
+  EXPECT_EQ(spec.cpus, std::vector<std::string>{"any"});
+  EXPECT_EQ(spec.cell_count(), 4u);
+
+  auto again = parse_sweep_spec(render_sweep_spec(spec));
+  ASSERT_TRUE(again.is_ok()) << again.status().to_string();
+  EXPECT_EQ(render_sweep_spec(again.value()), render_sweep_spec(spec));
 }
 
 // --- grid expansion ---------------------------------------------------------
@@ -160,6 +209,84 @@ TEST(SweepDriver, ExpandRejectsDuplicateAxisValues) {
 
   spec = small_spec();
   spec.boards = {"bananapi", "bananapi"};
+  EXPECT_FALSE(SweepDriver(spec).expand().is_ok());
+}
+
+TEST(SweepDriver, PlanFieldAxesNestInsideDomainAndSetThePlan) {
+  SweepSpec spec = small_spec();
+  spec.scenarios = {"freertos-steady"};
+  spec.rates = {100};
+  spec.domains = {"register"};
+  spec.targets = {"arch_handle_hvc", "arch_handle_trap"};
+  spec.faults = {"random-multi-flip"};
+  spec.registers = {"r3", "sp"};
+  spec.counts = {"2"};
+  spec.phases = {"1"};
+  spec.cpus = {"any"};
+  auto plans = SweepDriver(spec).expand();
+  ASSERT_TRUE(plans.is_ok()) << plans.status().to_string();
+  ASSERT_EQ(plans.value().size(), 4u);
+  // A single value sets the field without naming the cell; an axis with
+  // several values names each cell after its own.
+  EXPECT_EQ(plans.value()[0].name,
+            "freertos-steady_r100_register_arch_handle_hvc_reg-r3");
+  EXPECT_EQ(plans.value()[1].name,
+            "freertos-steady_r100_register_arch_handle_hvc_reg-sp");
+  EXPECT_EQ(plans.value()[2].name,
+            "freertos-steady_r100_register_arch_handle_trap_reg-r3");
+  const TestPlan& plan = plans.value()[1];
+  EXPECT_EQ(plan.target, jh::HookPoint::ArchHandleHvc);
+  EXPECT_EQ(plan.fault, FaultModelKind::RandomMultiFlip);
+  EXPECT_EQ(plan.fault_registers, std::vector<arch::Reg>{arch::Reg::SP});
+  EXPECT_EQ(plan.fault_count, 2u);
+  EXPECT_EQ(plan.phase, 1u);
+  EXPECT_EQ(plan.cpu_filter, -1);
+  std::set<std::uint64_t> seeds;
+  for (const TestPlan& cell : plans.value()) seeds.insert(cell.seed);
+  EXPECT_EQ(seeds.size(), 4u);
+}
+
+TEST(SweepDriver, ExpandNamesTheCellAPlanFieldValueDoesNotFit) {
+  // Specs built in code skip the parser, so expand() checks every value
+  // on the cell it lands on and names that cell.
+  SweepSpec base = small_spec();
+  base.scenarios = {"freertos-steady"};
+  base.rates = {100};
+  const auto rejects = [](const SweepSpec& spec, const std::string& cell) {
+    const auto expanded = SweepDriver(spec).expand();
+    ASSERT_FALSE(expanded.is_ok()) << cell;
+    EXPECT_EQ(expanded.status().code(), util::Code::EInval);
+    EXPECT_NE(expanded.status().message().find("cell " + cell + ": "),
+              std::string::npos)
+        << expanded.status().message();
+  };
+  SweepSpec spec = base;
+  spec.targets = {"arch_handle_hvc", "nope"};
+  rejects(spec, "freertos-steady_r100_nope");
+  spec = base;
+  spec.faults = {"nope"};
+  rejects(spec, "freertos-steady_r100");
+  spec = base;
+  spec.registers = {"r99"};
+  rejects(spec, "freertos-steady_r100");
+  spec = base;
+  spec.counts = {"0"};
+  rejects(spec, "freertos-steady_r100");
+  spec = base;
+  spec.phases = {"4294967296"};
+  rejects(spec, "freertos-steady_r100");
+  // CPU 3 exists on quad-a7 but not on the two-CPU Banana Pi.
+  spec = base;
+  spec.boards = {"quad-a7", "bananapi"};
+  spec.cpus = {"3"};
+  rejects(spec, "freertos-steady_r100_bananapi");
+
+  // Empty and duplicated values are grid errors, caught before any cell.
+  spec = base;
+  spec.counts = {"2", "2"};
+  EXPECT_FALSE(SweepDriver(spec).expand().is_ok());
+  spec = base;
+  spec.targets = {""};
   EXPECT_FALSE(SweepDriver(spec).expand().is_ok());
 }
 
@@ -249,7 +376,7 @@ TEST(SweepDriver, CellLogPathJoinsDirAndStem) {
 
 TEST(CellPersistence, ExecuteCellCommitsLogThenMetaWithNoTempLitter) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::path(testing::TempDir()) / "mcs_execute_cell";
+  const fs::path dir = test::scratch_path("mcs_execute_cell");
   fs::remove_all(dir);
   fs::create_directories(dir);
 

@@ -5,6 +5,7 @@
 // these are the invariants that let N processes split a sweep over
 // nothing but a shared directory.
 #include "core/sweep_worker.hpp"
+#include "scratch_path.hpp"
 
 #include <gtest/gtest.h>
 
@@ -27,9 +28,7 @@ class CellLeaseTest : public testing::Test {
   void SetUp() override {
     // Unique per test: parallel ctest runs tests in separate processes,
     // and a fixture-shared path would race their SetUp cleanups.
-    dir_ = fs::path(testing::TempDir()) /
-           (std::string("mcs_lease_test_") +
-            testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = test::scratch_path("mcs_lease_test");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
@@ -281,7 +280,7 @@ TEST(SweepSpecRoundTrip, RenderedSpecParsesBackIdentically) {
 }
 
 TEST(SweepSpecRoundTrip, SpecFileHonoursTheJoinersLogdir) {
-  const fs::path dir = fs::path(testing::TempDir()) / "mcs_spec_file";
+  const fs::path dir = test::scratch_path("mcs_spec_file");
   fs::remove_all(dir);
 
   SweepSpec spec;

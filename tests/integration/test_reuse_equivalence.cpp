@@ -19,6 +19,7 @@
 #include "analysis/report.hpp"
 #include "campaign_oracle.hpp"
 #include "core/sweep.hpp"
+#include "scratch_path.hpp"
 
 namespace mcs::fi {
 namespace {
@@ -99,7 +100,7 @@ SweepSpec small_sweep(const std::string& log_dir) {
 
 TEST(ReuseEquivalence, SweepResumeStaysByteIdenticalWithPooling) {
   const std::filesystem::path dir =
-      std::filesystem::path(testing::TempDir()) / "mcs_reuse_sweep";
+      test::scratch_path("mcs_reuse_sweep");
   std::filesystem::remove_all(dir);
 
   ExecutorConfig pooled;

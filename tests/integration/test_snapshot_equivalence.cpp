@@ -22,6 +22,7 @@
 #include "core/injection_target.hpp"
 #include "core/sweep.hpp"
 #include "hypervisor/cell_config.hpp"
+#include "scratch_path.hpp"
 
 namespace mcs::fi {
 namespace {
@@ -218,7 +219,7 @@ SweepSpec small_sweep(const std::string& log_dir) {
 
 TEST(SnapshotEquivalence, SweepResumeStaysByteIdenticalWithSnapshots) {
   const std::filesystem::path dir =
-      std::filesystem::path(testing::TempDir()) / "mcs_snapshot_sweep";
+      test::scratch_path("mcs_snapshot_sweep");
   std::filesystem::remove_all(dir);
 
   ExecutorConfig warm;

@@ -22,6 +22,7 @@
 #include "core/scenario.hpp"
 #include "core/sweep.hpp"
 #include "core/sweep_worker.hpp"
+#include "scratch_path.hpp"
 
 namespace mcs {
 namespace {
@@ -60,9 +61,7 @@ class DistributedSweepTest : public testing::Test {
     // Unique per test (not just per fixture): parallel ctest runs each
     // test in its own process, so a shared path would let one test's
     // cleanup race another's live logdir.
-    scratch_ = fs::path(testing::TempDir()) /
-               (std::string("mcs_distributed_sweep_") +
-                testing::UnitTest::GetInstance()->current_test_info()->name());
+    scratch_ = test::scratch_path("mcs_distributed_sweep");
     fs::remove_all(scratch_);
     fs::create_directories(scratch_);
 

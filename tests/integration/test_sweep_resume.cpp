@@ -17,6 +17,7 @@
 #include "analysis/report.hpp"
 #include "core/scenario.hpp"
 #include "core/sweep.hpp"
+#include "scratch_path.hpp"
 
 namespace mcs {
 namespace {
@@ -115,7 +116,7 @@ std::string report_of(const fi::SweepResult& result) {
 
 TEST(SweepResume, InterruptedSweepResumesToAByteIdenticalReport) {
   const std::filesystem::path dir =
-      std::filesystem::path(testing::TempDir()) / "mcs_sweep_resume";
+      test::scratch_path("mcs_sweep_resume");
   std::filesystem::remove_all(dir);
 
   // The uninterrupted reference run.
@@ -169,7 +170,7 @@ TEST(SweepResume, InterruptedSweepResumesToAByteIdenticalReport) {
 
 TEST(SweepResume, ChangedSpecReExecutesInsteadOfServingStaleLogs) {
   const std::filesystem::path dir =
-      std::filesystem::path(testing::TempDir()) / "mcs_sweep_staleness";
+      test::scratch_path("mcs_sweep_staleness");
   std::filesystem::remove_all(dir);
 
   auto first = fi::SweepDriver(resume_spec(dir.string()), {2}).execute();
@@ -205,7 +206,7 @@ TEST(SweepResume, TornMetaSidecarReExecutesInsteadOfBlockingResume) {
   // an older writer), the mismatch re-executes the cell rather than
   // wedging or resuming someone else's data.
   const std::filesystem::path dir =
-      std::filesystem::path(testing::TempDir()) / "mcs_sweep_torn_meta";
+      test::scratch_path("mcs_sweep_torn_meta");
   std::filesystem::remove_all(dir);
 
   auto fresh = fi::SweepDriver(resume_spec(dir.string()), {2}).execute();
@@ -240,7 +241,7 @@ TEST(SweepResume, ParallelResumeIsByteIdenticalToSerialResume) {
   // render the fresh report byte for byte — the property the
   // examples-smoke CI step diffs end to end.
   const std::filesystem::path dir =
-      std::filesystem::path(testing::TempDir()) / "mcs_sweep_par_resume";
+      test::scratch_path("mcs_sweep_par_resume");
   std::filesystem::remove_all(dir);
 
   auto fresh = fi::SweepDriver(resume_spec(dir.string()), {4}).execute();
@@ -267,7 +268,7 @@ TEST(SweepResume, ParallelResumeIsByteIdenticalToSerialResume) {
 
 TEST(SweepResume, InMemorySweepMatchesPersistedSweep) {
   const std::filesystem::path dir =
-      std::filesystem::path(testing::TempDir()) / "mcs_sweep_inmem";
+      test::scratch_path("mcs_sweep_inmem");
   std::filesystem::remove_all(dir);
 
   fi::SweepSpec in_memory = resume_spec("");

@@ -34,15 +34,6 @@ TEST(EventLog, ContainsMatchesComponentAndNeedle) {
   EXPECT_FALSE(log.contains("uart0", "unhandled trap"));
 }
 
-TEST(EventLog, MirrorSeesEveryRecord) {
-  EventLog log;
-  int mirrored = 0;
-  log.set_mirror([&](const LogRecord&) { ++mirrored; });
-  log.log(Ticks{1}, Severity::Info, "a", -1, "x");
-  log.log(Ticks{2}, Severity::Info, "a", -1, "y");
-  EXPECT_EQ(mirrored, 2);
-}
-
 TEST(EventLog, ToTextFormat) {
   EventLog log;
   log.log(Ticks{42}, Severity::Error, "hypervisor", 1, "boom");

@@ -8,13 +8,10 @@
 #include <utility>
 
 #include "util/logpipe_counters.hpp"
+#include "scratch_path.hpp"
 
 namespace mcs::util {
 namespace {
-
-std::filesystem::path temp_path(const std::string& name) {
-  return std::filesystem::path(testing::TempDir()) / name;
-}
 
 void write_file(const std::filesystem::path& path, std::string_view text) {
   std::ofstream out(path, std::ios::trunc | std::ios::binary);
@@ -23,7 +20,7 @@ void write_file(const std::filesystem::path& path, std::string_view text) {
 }
 
 TEST(MappedFile, MmapAndReadFallbackServeIdenticalBytes) {
-  const auto path = temp_path("mcs_mapped_file_bytes.txt");
+  const auto path = test::scratch_path("mcs_mapped_file_bytes");
   std::string body = "run 0: correct — ok (injections=1, usart_bytes=9)\n";
   for (int i = 0; i < 9; ++i) body += body;  // ~25 KB, spans pages
   write_file(path, body);
@@ -38,10 +35,11 @@ TEST(MappedFile, MmapAndReadFallbackServeIdenticalBytes) {
   EXPECT_EQ(mapped.value().view(), body);
   EXPECT_EQ(fallback.value().view(), body);
   EXPECT_EQ(mapped.value().size(), body.size());
+  std::filesystem::remove(path);
 }
 
 TEST(MappedFile, MissingFileIsNotFound) {
-  const auto missing = temp_path("mcs_mapped_file_missing.txt");
+  const auto missing = test::scratch_path("mcs_mapped_file_missing");
   std::filesystem::remove(missing);
   auto opened = MappedFile::open(missing.string());
   ASSERT_FALSE(opened.is_ok());
@@ -49,23 +47,27 @@ TEST(MappedFile, MissingFileIsNotFound) {
 }
 
 TEST(MappedFile, DirectoryIsAnIoError) {
-  auto opened = MappedFile::open(testing::TempDir());
+  const auto dir = test::scratch_path("mcs_mapped_file_dir");
+  std::filesystem::create_directories(dir);
+  auto opened = MappedFile::open(dir.string());
+  std::filesystem::remove_all(dir);
   ASSERT_FALSE(opened.is_ok());
   EXPECT_EQ(opened.status().code(), Code::EIo);
   EXPECT_NE(opened.status().message().find("directory"), std::string::npos);
 }
 
 TEST(MappedFile, EmptyFileMapsToAnEmptyView) {
-  const auto path = temp_path("mcs_mapped_file_empty.txt");
+  const auto path = test::scratch_path("mcs_mapped_file_empty");
   write_file(path, "");
   auto opened = MappedFile::open(path.string());
   ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
   EXPECT_EQ(opened.value().size(), 0u);
   EXPECT_EQ(opened.value().view(), "");
+  std::filesystem::remove(path);
 }
 
 TEST(MappedFile, MoveTransfersTheView) {
-  const auto path = temp_path("mcs_mapped_file_move.txt");
+  const auto path = test::scratch_path("mcs_mapped_file_move");
   write_file(path, "payload");
   auto opened = MappedFile::open(path.string());
   ASSERT_TRUE(opened.is_ok());
@@ -74,10 +76,11 @@ TEST(MappedFile, MoveTransfersTheView) {
   target = std::move(moved);
   EXPECT_EQ(target.view(), "payload");
   EXPECT_EQ(moved.view(), "");  // NOLINT(bugprone-use-after-move): pinned empty
+  std::filesystem::remove(path);
 }
 
 TEST(MappedFile, RecordsMappedBytesInThePipelineCounters) {
-  const auto path = temp_path("mcs_mapped_file_counters.txt");
+  const auto path = test::scratch_path("mcs_mapped_file_counters");
   write_file(path, "0123456789");
   const LogPipeCounters::Stats before = LogPipeCounters::instance().stats();
   {
@@ -89,17 +92,19 @@ TEST(MappedFile, RecordsMappedBytesInThePipelineCounters) {
   const LogPipeCounters::Stats after = LogPipeCounters::instance().stats();
   EXPECT_EQ(after.bytes_mapped - before.bytes_mapped, 20u);
   EXPECT_EQ(after.map_fallbacks - before.map_fallbacks, 1u);
+  std::filesystem::remove(path);
 }
 
 TEST(ReadFile, RoundTripsContents) {
-  const auto path = temp_path("mcs_read_file.txt");
+  const auto path = test::scratch_path("mcs_read_file");
   write_file(path, "line one\nline two\n");
   auto body = read_file(path.string());
   ASSERT_TRUE(body.is_ok()) << body.status().to_string();
   EXPECT_EQ(body.value(), "line one\nline two\n");
 
-  auto missing = read_file(temp_path("mcs_read_file_missing.txt").string());
+  auto missing = read_file(test::scratch_path("mcs_read_file_missing").string());
   EXPECT_FALSE(missing.is_ok());
+  std::filesystem::remove(path);
 }
 
 }  // namespace
