@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/executor.hpp"
 #include "core/injection_target.hpp"
 #include "core/testbed.hpp"
 #include "guests/freertos_image.hpp"
@@ -109,6 +110,25 @@ TEST(MemoryFaultCampaign, WorkloadRecoversAfterDetection) {
   // The task rewrites both copies; no further mismatches accumulate.
   testbed.run(3'000);
   EXPECT_EQ(testbed.freertos().data_errors(), errors_at_detection);
+}
+
+// Uniform flips over the whole cell RAM, through the campaign path: the
+// dram fault domain on freertos-steady. Almost all of the RAM is cold,
+// and a flip the workload does read is caught by its own checks, so no
+// run ever fails at the hypervisor level.
+TEST(MemoryFaultCampaign, UniformFlipsNeverFailTheHypervisor) {
+  TestPlan plan;
+  plan.fault_domain = FaultDomain::Dram;
+  plan.rate = 100;
+  plan.runs = 10;
+  const CampaignResult result = CampaignExecutor(plan, {2}).execute();
+  const OutcomeDistribution dist = result.distribution();
+  ASSERT_EQ(dist.total(), 10u);
+  EXPECT_EQ(dist.count(Outcome::PanicPark), 0u);
+  EXPECT_EQ(dist.count(Outcome::CpuPark), 0u);
+  for (const RunResult& run : result.runs) {
+    EXPECT_GE(run.injections, 1u);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/injector.hpp"
 #include "core/testbed.hpp"
 
 namespace mcs::jh {
@@ -171,6 +174,61 @@ TEST_F(WatchdogTest, AlarmNames) {
   EXPECT_EQ(watchdog_alarm_name(WatchdogAlarm::CpuDead), "cpu-dead");
   EXPECT_EQ(watchdog_alarm_name(WatchdogAlarm::CpuParked), "cpu-parked");
   EXPECT_EQ(watchdog_alarm_name(WatchdogAlarm::NoProgress), "no-progress");
+}
+
+/// The tick the board log says CPU 1's hot-plug bring-up failed, or 0.
+std::uint64_t bring_up_failure_tick(const util::EventLog& log) {
+  for (const util::LogRecord& record : log.records()) {
+    if (record.message.find("CPU failed to come online") != std::string::npos) {
+      return record.timestamp.value;
+    }
+  }
+  return 0;
+}
+
+// The tests above fake the fault; this one injects it. A small E3
+// campaign (paper_high_nonroot_plan: registers flipped at CPU 1's
+// bring-up entry) leaves the cell "running" on a failed CPU, under each
+// remediation policy. Latency counts from the bring-up failure itself:
+// a run's first injection may be one of several masked ones.
+TEST(WatchdogInjected, CatchesTheInjectedE3BringUpFailure) {
+  const fi::TestPlan plan = fi::paper_high_nonroot_plan();
+  for (const RemediationPolicy policy :
+       {RemediationPolicy::ReportOnly, RemediationPolicy::AutoShutdown}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)) +
+                   ", seed " + std::to_string(seed));
+      fi::Testbed testbed;
+      ASSERT_TRUE(testbed.enable_hypervisor().is_ok());
+      CellWatchdog::Options options;
+      options.policy = policy;
+      CellWatchdog watchdog(testbed.hypervisor(), options);
+      testbed.machine().install_watchdog(&watchdog);
+      fi::Injector injector(plan, seed, testbed.board().clock());
+      injector.attach(testbed.hypervisor());
+      testbed.boot_freertos_cell();
+      testbed.run(2 * options.check_period);
+      injector.detach(testbed.hypervisor());
+      testbed.machine().install_watchdog(nullptr);
+
+      const std::uint64_t failed_at = bring_up_failure_tick(testbed.board().log());
+      ASSERT_GT(failed_at, 0u);
+      ASSERT_EQ(watchdog.alarms(), 1u);
+      const WatchdogEvent& alarm = watchdog.events()[0];
+      EXPECT_EQ(alarm.alarm, WatchdogAlarm::CpuDead);
+      EXPECT_EQ(alarm.cell, testbed.freertos_cell_id());
+      EXPECT_LE(alarm.tick - failed_at, options.check_period);
+      if (policy == RemediationPolicy::AutoShutdown) {
+        EXPECT_TRUE(alarm.remediated);
+        EXPECT_EQ(testbed.freertos_cell()->state(), CellState::ShutDown);
+        EXPECT_EQ(testbed.hypervisor().cpu_owner(1), kRootCellId);
+      } else {
+        EXPECT_FALSE(alarm.remediated);
+        EXPECT_EQ(testbed.freertos_cell()->state(), CellState::Running);
+        EXPECT_EQ(testbed.hypervisor().cpu_owner(1), testbed.freertos_cell_id());
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -57,6 +57,19 @@ TestPlan aligned(TestPlan preset, const TestPlan& cell) {
   return preset;
 }
 
+/// Every run of every cell injected at least once: a cell that injects
+/// nothing reports "correct" having measured no fault.
+void expect_every_run_injects(const std::vector<TestPlan>& plans,
+                              const std::vector<CampaignResult>& cells) {
+  ASSERT_EQ(cells.size(), plans.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    for (std::size_t run = 0; run < cells[i].runs.size(); ++run) {
+      EXPECT_GE(cells[i].runs[run].injections, 1u)
+          << plans[i].name << " run " << run;
+    }
+  }
+}
+
 TEST(PaperExperimentSpecs, EveryCheckedInSpecExpands) {
   std::set<std::string> names;
   for (const auto& entry : std::filesystem::directory_iterator(kExperimentsDir)) {
@@ -65,9 +78,10 @@ TEST(PaperExperimentSpecs, EveryCheckedInSpecExpands) {
     names.insert(name);
     EXPECT_FALSE(cells_of(experiment(name)).empty()) << name;
   }
-  EXPECT_EQ(names, (std::set<std::string>{"a1-rate", "a2-registers",
-                                          "a3-intensity", "e2-high-root",
-                                          "e4-irq-vector", "fig3"}));
+  EXPECT_EQ(names, (std::set<std::string>{
+                       "a1-rate", "a2-registers", "a3-intensity",
+                       "a4-fault-models", "e2-high-root", "e3-high-nonroot",
+                       "e4-irq-vector", "fig3"}));
 }
 
 // The specs are the paper's campaigns, not look-alikes: each expanded
@@ -86,10 +100,28 @@ TEST(PaperExperimentSpecs, PinnedToThePaperPresets) {
   EXPECT_EQ(plan_fingerprint(e2[1]),
             plan_fingerprint(aligned(paper_high_root_trap_plan(), e2[1])));
 
+  // E3's phase axis sweeps the counter state at cell start; its phase-1
+  // cell is the preset.
+  const std::vector<TestPlan> e3 = cells_of(experiment("e3-high-nonroot"));
+  ASSERT_EQ(e3.size(), 5u);
+  ASSERT_EQ(e3[0].phase, 1u);
+  EXPECT_EQ(plan_fingerprint(e3[0]),
+            plan_fingerprint(aligned(paper_high_nonroot_plan(), e3[0])));
+
   const std::vector<TestPlan> e4 = cells_of(experiment("e4-irq-vector"));
   ASSERT_EQ(e4.size(), 1u);
   EXPECT_EQ(plan_fingerprint(e4[0]),
             plan_fingerprint(aligned(irq_vector_plan(), e4[0])));
+
+  // A4 is the Figure 3 campaign once per fault model.
+  const std::vector<TestPlan> a4 = cells_of(experiment("a4-fault-models"));
+  ASSERT_EQ(a4.size(), 5u);
+  for (const TestPlan& cell : a4) {
+    TestPlan preset = paper_medium_trap_plan();
+    preset.fault = cell.fault;
+    EXPECT_EQ(plan_fingerprint(cell), plan_fingerprint(aligned(preset, cell)))
+        << cell.name;
+  }
 }
 
 // E2 — "High level intensity faults always return an 'invalid arguments'
@@ -133,10 +165,10 @@ INSTANTIATE_TEST_SUITE_P(BothTargets, HighIntensityRoot,
 // shutdown of the cell gives the control of the CPU and the non-root cell
 // peripherals back to the root cell."
 TEST(HighIntensityNonRoot, InconsistentAllocatedButDeadCell) {
-  TestPlan plan = paper_high_nonroot_plan();
-  plan.runs = 10;
-  plan.duration_ticks = 1'000;
-  CampaignExecutor campaign(plan, {1});
+  const std::vector<TestPlan> cells = cells_of(experiment("e3-high-nonroot"));
+  ASSERT_FALSE(cells.empty());
+  ASSERT_EQ(cells[0].phase, 1u);
+  CampaignExecutor campaign(cells[0], {1});
   const CampaignResult result = campaign.execute();
   const OutcomeDistribution dist = result.distribution();
   EXPECT_EQ(dist.count(Outcome::InconsistentCell), dist.total());
@@ -149,26 +181,63 @@ TEST(HighIntensityNonRoot, InconsistentAllocatedButDeadCell) {
   }
 }
 
+// The phase axis: only an injection that lands on CPU 1's bring-up entry
+// leaves the cell inconsistent. Later phases either stay correct or end
+// in a CPU park that cell shutdown reclaims.
+TEST(HighIntensityNonRoot, OnlyTheBringUpPhaseLeavesTheCellInconsistent) {
+  const SweepSpec spec = experiment("e3-high-nonroot");
+  const std::vector<TestPlan> plans = cells_of(spec);
+  const std::vector<CampaignResult> cells = run_cells(spec);
+  expect_every_run_injects(plans, cells);
+  ASSERT_EQ(cells.size(), 5u);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const OutcomeDistribution dist = cells[i].distribution();
+    if (plans[i].phase == 1) {
+      EXPECT_EQ(dist.count(Outcome::InconsistentCell), dist.total());
+      continue;
+    }
+    EXPECT_EQ(dist.count(Outcome::InconsistentCell), 0u) << plans[i].name;
+    EXPECT_EQ(dist.count(Outcome::Correct) + dist.count(Outcome::CpuPark),
+              dist.total())
+        << plans[i].name;
+    for (const RunResult& run : cells[i].runs) {
+      if (run.outcome == Outcome::CpuPark) {
+        EXPECT_TRUE(run.shutdown_reclaimed) << plans[i].name;
+      }
+    }
+  }
+}
+
+// One E3 run replayed step by step on one testbed: Jailhouse reports the
+// cell running while CPU 1 failed and the USART is blank; shutdown gives
+// CPU 1 back to the root cell; "destroying the cell and reallocating it
+// fixes the problem."
 TEST(HighIntensityNonRoot, DestroyAndRecreateFixesTheCell) {
-  // "only destroying the cell and reallocating it fixes the problem."
-  TestPlan plan = paper_high_nonroot_plan();
-  CampaignExecutor campaign(plan, {1});
-  (void)campaign;  // the sequence below replays one run manually
+  const TestPlan plan = paper_high_nonroot_plan();
   Testbed testbed;
   ASSERT_TRUE(testbed.enable_hypervisor().is_ok());
-  Injector injector(plan, 42, testbed.board().clock());
+  Injector injector(plan, 7, testbed.board().clock());
   injector.attach(testbed.hypervisor());
   testbed.boot_freertos_cell();
-  ASSERT_EQ(testbed.board().cpu(1).power_state(), arch::PowerState::Failed);
-  // Recover: detach faults, destroy, recreate — the cell must boot.
+  testbed.run(1'000);
+
+  const jh::Cell* cell = testbed.freertos_cell();
+  ASSERT_NE(cell, nullptr);
+  EXPECT_EQ(cell->state(), jh::CellState::Running);
+  EXPECT_EQ(testbed.board().cpu(1).power_state(), arch::PowerState::Failed);
+  EXPECT_EQ(testbed.board().uart1().total_bytes(), 0u);
+
   injector.detach(testbed.hypervisor());
+  testbed.shutdown_freertos_cell();
+  EXPECT_EQ(testbed.hypervisor().cpu_owner(1), jh::kRootCellId);
+  EXPECT_EQ(testbed.freertos_cell()->state(), jh::CellState::ShutDown);
+
   testbed.destroy_freertos_cell();
-  Testbed fresh;
-  ASSERT_TRUE(fresh.enable_hypervisor().is_ok());
-  fresh.boot_freertos_cell();
-  fresh.run(100);
-  EXPECT_TRUE(fresh.board().cpu(1).is_online());
-  EXPECT_GT(fresh.board().uart1().total_bytes(), 0u);
+  EXPECT_EQ(testbed.hypervisor().cells().size(), 1u);  // only the root cell
+  testbed.boot_freertos_cell();
+  testbed.run(200);
+  EXPECT_TRUE(testbed.board().cpu(1).is_online());
+  EXPECT_GT(testbed.board().uart1().total_bytes(), 0u);
 }
 
 // E1 / Figure 3 — medium intensity on the non-root trap path: the cell
@@ -239,20 +308,14 @@ TEST(AblationRate, EveryRunInjectsAndAvailabilityFallsWithTheRate) {
   const SweepSpec spec = experiment("a1-rate");
   const std::vector<TestPlan> plans = cells_of(spec);
   const std::vector<CampaignResult> cells = run_cells(spec);
-  ASSERT_EQ(cells.size(), plans.size());
+  expect_every_run_injects(plans, cells);
   ASSERT_GE(cells.size(), 2u);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    for (std::size_t run = 0; run < cells[i].runs.size(); ++run) {
-      EXPECT_GE(cells[i].runs[run].injections, 1u)
-          << plans[i].name << " run " << run;
-    }
-    // The spec lists rates from the most to the least frequent.
-    if (i > 0) {
-      ASSERT_LT(plans[i - 1].rate, plans[i].rate);
-      EXPECT_LE(cells[i - 1].distribution().fraction(Outcome::Correct),
-                cells[i].distribution().fraction(Outcome::Correct))
-          << plans[i - 1].name << " vs " << plans[i].name;
-    }
+  // The spec lists rates from the most to the least frequent.
+  for (std::size_t i = 1; i < cells.size(); ++i) {
+    ASSERT_LT(plans[i - 1].rate, plans[i].rate);
+    EXPECT_LE(cells[i - 1].distribution().fraction(Outcome::Correct),
+              cells[i].distribution().fraction(Outcome::Correct))
+        << plans[i - 1].name << " vs " << plans[i].name;
   }
 }
 
@@ -308,6 +371,37 @@ TEST(AblationIntensity, SurvivalFallsWithTheRegisterCount) {
     EXPECT_LE(correct[k - 1], correct[2]) << "k=" << k;
     if (k >= 5) {
       EXPECT_LE(correct[k - 1], 0.1) << "k=" << k;
+    }
+  }
+}
+
+// A4 — the failure-mode mix per fault model. Flipping several registers
+// at once leaves the fewest runs correct and never panics: it fails by a
+// CPU park that cell shutdown reclaims.
+TEST(AblationFaultModels, MultiRegisterFlipFailsMostAndNeverPanics) {
+  const SweepSpec spec = experiment("a4-fault-models");
+  const std::vector<TestPlan> plans = cells_of(spec);
+  const std::vector<CampaignResult> cells = run_cells(spec);
+  expect_every_run_injects(plans, cells);
+  ASSERT_EQ(cells.size(), 5u);
+  const auto multi = std::find_if(plans.begin(), plans.end(), [](const TestPlan& plan) {
+    return plan.fault == FaultModelKind::MultiRegisterFlip;
+  });
+  ASSERT_NE(multi, plans.end());
+  const std::size_t m = static_cast<std::size_t>(multi - plans.begin());
+  const OutcomeDistribution worst = cells[m].distribution();
+  EXPECT_EQ(worst.count(Outcome::PanicPark), 0u);
+  EXPECT_GT(worst.count(Outcome::CpuPark), 0u);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i != m) {
+      EXPECT_LT(worst.fraction(Outcome::Correct),
+                cells[i].distribution().fraction(Outcome::Correct))
+          << plans[i].name;
+    }
+    for (const RunResult& run : cells[i].runs) {
+      if (run.outcome == Outcome::CpuPark) {
+        EXPECT_TRUE(run.shutdown_reclaimed) << plans[i].name;
+      }
     }
   }
 }
